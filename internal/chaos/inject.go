@@ -286,27 +286,13 @@ func StripNullification(p *isa.Program) *isa.Program {
 	if !found {
 		return nil
 	}
-	newIdx := make([]int32, len(p.Instrs)+1)
-	n := int32(0)
-	for i := range p.Instrs {
-		newIdx[i] = n
-		if keep[i] {
-			n++
-		}
-	}
-	newIdx[len(p.Instrs)] = n
 	q := cloneProgram(p)
-	q.Instrs = q.Instrs[:0]
-	for i := range p.Instrs {
-		if !keep[i] {
-			continue
+	q.Instrs = isa.Rewrite(p.Instrs, func(out []isa.Instr, i int) []isa.Instr {
+		if keep[i] {
+			out = append(out, p.Instrs[i])
 		}
-		in := p.Instrs[i]
-		if in.Op == isa.BRA || in.Op == isa.SSY {
-			in.Target = newIdx[in.Target]
-		}
-		q.Instrs = append(q.Instrs, in)
-	}
+		return out
+	})
 	return q
 }
 

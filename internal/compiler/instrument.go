@@ -16,24 +16,14 @@ const instrPred = isa.PredReg(6)
 // after selected instructions, remapping all branch/SSY targets so control
 // transfers land at the start of an instruction's inserted prologue.
 func rewrite(p *isa.Program, visit func(in *isa.Instr) (before, after []isa.Instr)) *isa.Program {
-	newIdx := make([]int32, len(p.Instrs)+1)
-	var out []isa.Instr
-	for i := range p.Instrs {
+	q := *p
+	q.Instrs = isa.Rewrite(p.Instrs, func(out []isa.Instr, i int) []isa.Instr {
 		in := p.Instrs[i]
 		before, after := visit(&in)
-		newIdx[i] = int32(len(out))
 		out = append(out, before...)
 		out = append(out, in)
-		out = append(out, after...)
-	}
-	newIdx[len(p.Instrs)] = int32(len(out))
-	for i := range out {
-		if out[i].Op == isa.BRA || out[i].Op == isa.SSY {
-			out[i].Target = newIdx[out[i].Target]
-		}
-	}
-	q := *p
-	q.Instrs = out
+		return append(out, after...)
+	})
 	return &q
 }
 

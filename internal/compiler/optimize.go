@@ -35,18 +35,11 @@ var foldable = map[isa.Opcode]int{
 
 // foldImmediates rewrites operands into immediate forms when the
 // reaching definition is a MOV-immediate. Reaching definitions are
-// tracked linearly and invalidated at every branch target (any point
+// tracked linearly and invalidated at every CFG target (any point
 // control can enter sideways), which makes the analysis conservative but
 // sound for arbitrary layouts.
 func foldImmediates(p *isa.Program) *isa.Program {
-	// Branch-target entry points.
-	entry := make([]bool, len(p.Instrs)+1)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Op == isa.BRA || in.Op == isa.SSY {
-			entry[in.Target] = true
-		}
-	}
+	g := isa.NewCFG(p)
 	out := make([]isa.Instr, len(p.Instrs))
 	copy(out, p.Instrs)
 	type def struct {
@@ -55,7 +48,7 @@ func foldImmediates(p *isa.Program) *isa.Program {
 	}
 	reach := map[isa.Reg]def{}
 	for i := range out {
-		if entry[i] {
+		if g.Target(i) {
 			// Control may arrive here from elsewhere: forget everything.
 			reach = map[isa.Reg]def{}
 		}
@@ -115,27 +108,12 @@ func removeDeadMoves(p *isa.Program) *isa.Program {
 			keep[i] = false // never read
 		}
 	}
-	newIdx := make([]int32, len(p.Instrs)+1)
-	n := int32(0)
-	for i := range p.Instrs {
-		newIdx[i] = n
-		if keep[i] {
-			n++
-		}
-	}
-	newIdx[len(p.Instrs)] = n
-	var out []isa.Instr
-	for i := range p.Instrs {
-		if !keep[i] {
-			continue
-		}
-		in := p.Instrs[i]
-		if in.Op == isa.BRA || in.Op == isa.SSY {
-			in.Target = newIdx[in.Target]
-		}
-		out = append(out, in)
-	}
 	q := *p
-	q.Instrs = out
+	q.Instrs = isa.Rewrite(p.Instrs, func(out []isa.Instr, i int) []isa.Instr {
+		if keep[i] {
+			out = append(out, p.Instrs[i])
+		}
+		return out
+	})
 	return &q
 }

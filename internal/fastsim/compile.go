@@ -119,66 +119,37 @@ func CompileWords(p *isa.Program, words []isa.Word) (*Compiled, error) {
 // compiler carries per-compilation state.
 type compiler struct {
 	prog *isa.Program
-	// ptWritable reports whether any instruction writes predicate 7
-	// (PT). The cycle simulator stores PT in the ordinary predicate file,
-	// so a guest program *can* overwrite it; the @PT guard fast path is
-	// only sound when nothing does.
-	ptWritable bool
 }
 
 func (cc *compiler) compile() (*Compiled, error) {
 	instrs := cc.prog.Instrs
 	n := len(instrs)
-	for i := range instrs {
-		in := &instrs[i]
-		if (in.Op == isa.SETP || in.Op == isa.FSETP) && isa.PredReg(in.Dst&7) == isa.PT {
-			cc.ptWritable = true
-		}
-	}
-
-	// Leaders: entry, branch and SSY (reconvergence) targets, and the
-	// instruction after every control transfer.
-	leader := make([]bool, n+1)
-	leader[0] = true
-	for i := range instrs {
-		switch in := &instrs[i]; in.Op {
-		case isa.BRA:
-			leader[in.Target] = true
-			leader[i+1] = true
-		case isa.SSY:
-			leader[in.Target] = true
-		case isa.EXIT, isa.BAR:
-			leader[i+1] = true
-		}
-	}
-
 	c := &Compiled{prog: cc.prog, blockOf: make([]int32, n+1)}
 	for i := range c.blockOf {
 		c.blockOf[i] = -1
 	}
-	i := 0
-	for i < n {
-		blk := bblock{start: i, term: termFall}
-		c.blockOf[i] = int32(len(c.blocks))
-		for i < n {
-			in := &instrs[i]
-			if in.Op == isa.BRA || in.Op == isa.EXIT || in.Op == isa.BAR {
-				blk.termPC = i
-				blk.termOp = in.Op
-				blk.termGuard = cc.guard(in)
-				blk.target = in.Target
-				blk.next = int32(i) + 1
-				switch in.Op {
-				case isa.BRA:
-					blk.term = termBRA
-				case isa.EXIT:
-					blk.term = termEXIT
-				case isa.BAR:
-					blk.term = termBAR
-				}
-				i++
-				break
+	for _, b := range isa.NewCFG(cc.prog).Blocks() {
+		c.blockOf[b.Start] = int32(len(c.blocks))
+		blk := bblock{start: b.Start, term: termFall, next: int32(b.End)}
+		body := b.End
+		switch in := &instrs[b.End-1]; in.Op {
+		case isa.BRA, isa.EXIT, isa.BAR:
+			body--
+			blk.termPC = body
+			blk.termOp = in.Op
+			blk.termGuard = cc.guard(in)
+			blk.target = in.Target
+			switch in.Op {
+			case isa.BRA:
+				blk.term = termBRA
+			case isa.EXIT:
+				blk.term = termEXIT
+			case isa.BAR:
+				blk.term = termBAR
 			}
+		}
+		for i := b.Start; i < body; i++ {
+			in := &instrs[i]
 			fn, err := cc.instrClosure(in, i)
 			if err != nil {
 				return nil, err
@@ -186,22 +157,17 @@ func (cc *compiler) compile() (*Compiled, error) {
 			blk.body = append(blk.body, fn)
 			blk.ops = append(blk.ops, in.Op)
 			blk.hintA = append(blk.hintA, in.Hint.A)
-			i++
-			blk.next = int32(i)
-			if i < n && leader[i] {
-				break
-			}
 		}
 		c.blocks = append(c.blocks, blk)
 	}
 	return c, nil
 }
 
-// guard compiles an instruction's guard predicate. @PT (and nothing in
-// the program writing PT) compiles to the identity.
+// guard compiles an instruction's guard predicate. @PT compiles to the
+// identity (PT is hardwired true: Validate rejects writes to it).
 func (cc *compiler) guard(in *isa.Instr) guardFn {
 	p := in.Pred & 7
-	if p == isa.PT && !in.PredNeg && !cc.ptWritable {
+	if p == isa.PT && !in.PredNeg {
 		return func(_ *fwarp, active uint32) uint32 { return active }
 	}
 	if in.PredNeg {

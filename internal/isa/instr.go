@@ -265,6 +265,10 @@ func (in *Instr) Validate() error {
 		if in.Target < 0 {
 			return fmt.Errorf("isa: %s: negative target %d", in.Op, in.Target)
 		}
+	case SETP, FSETP:
+		if PredReg(in.Dst&7) == PT {
+			return fmt.Errorf("isa: %s: writes the hardwired predicate PT", in.Op)
+		}
 	case LDG, STG, LDS, STS, LDL, STL, LDC, ATOMG, ATOMS:
 		sz := in.AccSize()
 		if sz != 1 && sz != 2 && sz != 4 && sz != 8 {

@@ -84,6 +84,7 @@ func TestInstrValidate(t *testing.T) {
 		{Op: LDG, Aux: 5, Pred: PT}, // 32-byte access
 		{Op: FADD, Hint: Hint{A: true}, Pred: PT},
 		{Op: IADD, Aux: 32, Pred: PT},
+		{Op: SETP, Dst: Reg(PT), Pred: PT}, // PT is hardwired true
 	}
 	for i, in := range bad {
 		if err := in.Validate(); err == nil {

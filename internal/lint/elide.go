@@ -261,33 +261,27 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	a.entries[0] = init
 	a.reached[0] = true
 
-	work := []int{0}
-	inWork := make([]bool, n)
-	inWork[0] = true
+	g := isa.NewCFG(p)
+	work := isa.NewWorklist(n)
+	work.Push(0)
 	budget := 64*n + 1024
-	for len(work) > 0 {
+	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
 		if budget--; budget < 0 {
 			a.incomplete = true
 			break
 		}
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[i] = false
 		st := a.entries[i]
 		a.transfer(i, &st)
 		in := &p.Instrs[i]
-		if in.Pred != isa.PT && in.Op != isa.BRA {
+		if (in.Pred != isa.PT || in.PredNeg) && in.Op != isa.BRA {
 			// Predicated non-branch: inactive lanes keep the old state.
 			entry := a.entries[i]
 			mergeState(&st, &entry)
 		}
-		for _, e := range a.edges(i, &st) {
-			if e.to >= n {
-				continue
-			}
-			if a.mergeEntry(e.to, &e.st, e.to <= i) && !inWork[e.to] {
-				work = append(work, e.to)
-				inWork[e.to] = true
+		for _, e := range g.Succs(i) {
+			est := a.edgeState(i, e, &st)
+			if a.mergeEntry(e.To, &est, e.To <= i) {
+				work.Push(e.To)
 			}
 		}
 	}
@@ -310,36 +304,18 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	return diags
 }
 
-// eEdge is one outgoing CFG edge with its (possibly refined) state.
-type eEdge struct {
-	to int
-	st eState
-}
-
-// edges returns instruction i's successors. A predicated BRA splits the
-// state: the taken edge learns the guarding SETP fact, the fall-through
-// edge its negation.
-func (a *auditor) edges(i int, st *eState) []eEdge {
+// edgeState returns the state flowing along edge e out of instruction
+// i. A predicated BRA splits the state: the taken edge learns the
+// guarding SETP fact, the fall-through edge its negation.
+func (a *auditor) edgeState(i int, e isa.Edge, st *eState) eState {
 	in := &a.p.Instrs[i]
-	switch in.Op {
-	case isa.EXIT:
-		return nil
-	case isa.BRA:
-		if in.Pred == isa.PT && !in.PredNeg {
-			return []eEdge{{to: int(in.Target), st: *st}}
+	out := *st
+	if in.Op == isa.BRA && in.Pred < isa.PT {
+		if f := st.preds[in.Pred]; f.ok {
+			refineState(&out, f, e.Taken != in.PredNeg)
 		}
-		f := predFact{}
-		if in.Pred < isa.PT {
-			f = st.preds[in.Pred]
-		}
-		taken, fall := *st, *st
-		if f.ok {
-			refineState(&taken, f, !in.PredNeg)
-			refineState(&fall, f, in.PredNeg)
-		}
-		return []eEdge{{to: i + 1, st: fall}, {to: int(in.Target), st: taken}}
 	}
-	return []eEdge{{to: i + 1, st: *st}}
+	return out
 }
 
 // mergeState joins src into dst elementwise, reporting growth.

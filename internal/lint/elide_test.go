@@ -321,3 +321,23 @@ func TestSpuriousElideAuditOnElidedWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// TestElideAuditNeverExecutedInstr: an @!PT instruction never runs, so
+// the IADD that would pull the pointer back in bounds must not count.
+func TestElideAuditNeverExecutedInstr(t *testing.T) {
+	rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+	p := &isa.Program{Name: "never_executed", NumRegs: 8, Instrs: []isa.Instr{
+		{Op: isa.MOV, Dst: 1, Src: rz, Imm: 64, HasImm: true, Pred: isa.PT},
+		{Op: isa.MALLOC, Dst: 4, Src: [3]isa.Reg{1, isa.RZ, isa.RZ}, Pred: isa.PT},
+		{Op: isa.IADD, Dst: 4, Src: [3]isa.Reg{4, isa.RZ, isa.RZ}, Imm: 4096, HasImm: true,
+			Aux: isa.AuxW64, Pred: isa.PT},
+		{Op: isa.IADD, Dst: 4, Src: [3]isa.Reg{4, isa.RZ, isa.RZ}, Imm: -4096, HasImm: true,
+			Aux: isa.AuxW64, Pred: isa.PT, PredNeg: true},
+		{Op: isa.LDG, Dst: 5, Src: [3]isa.Reg{4, isa.RZ, isa.RZ}, Aux: 2, Pred: isa.PT,
+			Hint: isa.Hint{E: true}},
+		{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+	}}
+	if diags := ElideAudit(p, bounds.Contract{}); !hasDiag(diags, KindUnsoundElide, 4) {
+		t.Fatalf("elided load 4 KiB past a 64-byte allocation accepted; got %v", diags)
+	}
+}

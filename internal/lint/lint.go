@@ -179,14 +179,11 @@ func run(p *isa.Program, mode compiler.Mode) (diags []Diag, ptrNeed, reachable [
 	}
 	l.entries[0] = init
 
-	work := []int{0}
-	inWork := make([]bool, n)
-	inWork[0] = true
+	g := isa.NewCFG(p)
+	work := isa.NewWorklist(n)
+	work.Push(0)
 	var empty regState
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[i] = false
+	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
 		st := l.entries[i]
 		l.step(i, &st, false)
 		in := &p.Instrs[i]
@@ -196,10 +193,9 @@ func run(p *isa.Program, mode compiler.Mode) (diags []Diag, ptrNeed, reachable [
 			entry := l.entries[i]
 			mergeInto(&st, &entry)
 		}
-		for _, s := range succs(p, i) {
-			if mergeInto(&l.entries[s], &st) && !inWork[s] {
-				work = append(work, s)
-				inWork[s] = true
+		for _, e := range g.Succs(i) {
+			if mergeInto(&l.entries[e.To], &st) {
+				work.Push(e.To)
 			}
 		}
 	}
@@ -214,36 +210,6 @@ func run(p *isa.Program, mode compiler.Mode) (diags []Diag, ptrNeed, reachable [
 		l.step(i, &st, true)
 	}
 	return l.diags, l.ptrNeed, reachable
-}
-
-// succs returns the control-flow successors of instruction i:
-// fall-through plus BRA targets. SSY pushes a reconvergence point but
-// does not transfer control, so it contributes no edge — joining the
-// pre-branch state into the reconvergence block would only manufacture
-// false conflicts.
-func succs(p *isa.Program, i int) []int {
-	in := &p.Instrs[i]
-	n := len(p.Instrs)
-	var out []int
-	switch in.Op {
-	case isa.EXIT:
-	case isa.BRA:
-		if in.Pred != isa.PT || in.PredNeg {
-			out = append(out, i+1)
-		}
-		out = append(out, int(in.Target))
-	default:
-		out = append(out, i+1)
-	}
-	// Drop out-of-range successors (a trailing BRA may target index n).
-	k := 0
-	for _, s := range out {
-		if s < n {
-			out[k] = s
-			k++
-		}
-	}
-	return out[:k]
 }
 
 // step applies the abstract transfer of instruction i to st. With

@@ -3,6 +3,7 @@ package lint
 import (
 	"testing"
 
+	"lmi/internal/bounds"
 	"lmi/internal/chaos"
 	"lmi/internal/compiler"
 	"lmi/internal/core"
@@ -247,5 +248,39 @@ func TestSourceMapLengthMismatch(t *testing.T) {
 	diags := CheckWithSource(p, compiler.ModeLMI, src[:len(src)-1])
 	if len(diags) == 0 || diags[len(diags)-1].Kind != KindDifferential {
 		t.Fatalf("truncated source map not reported; got %v", diags)
+	}
+}
+
+// predicatedExitProg retires lanes 0..15 with a predicated EXIT; the
+// rest run on into an elided load through a plain data register.
+func predicatedExitProg() *isa.Program {
+	rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+	return handProg([]isa.Instr{
+		{Op: isa.S2R, Dst: 0, Src: rz, Aux: uint8(isa.SRTidX), Pred: isa.PT},
+		{Op: isa.SETP, Dst: 0, Src: [3]isa.Reg{0, isa.RZ, isa.RZ}, Imm: 16, HasImm: true,
+			Aux: uint8(isa.CmpLT), Pred: isa.PT},
+		{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: 0},
+		{Op: isa.MOV, Dst: 4, Src: rz, Imm: 16, HasImm: true, Pred: isa.PT},
+		{Op: isa.LDG, Dst: 5, Src: [3]isa.Reg{4, isa.RZ, isa.RZ}, Aux: 2, Pred: isa.PT,
+			Hint: isa.Hint{E: true}},
+		{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+	})
+}
+
+// TestCheckSeesPastPredicatedExit: a predicated EXIT retires only its
+// guard-true lanes, so the code after it is reachable and checked.
+func TestCheckSeesPastPredicatedExit(t *testing.T) {
+	diags := Check(predicatedExitProg(), compiler.ModeLMI)
+	if !hasDiag(diags, KindUntracedAddress, 4) {
+		t.Fatalf("load after @P0 EXIT not checked; got %v", diags)
+	}
+}
+
+// TestElideAuditSeesPastPredicatedExit: the E bit after a predicated
+// EXIT is audited like any other.
+func TestElideAuditSeesPastPredicatedExit(t *testing.T) {
+	diags := ElideAudit(predicatedExitProg(), bounds.Contract{})
+	if len(diags) != 1 || !hasDiag(diags, KindUnsoundElide, 4) {
+		t.Fatalf("want one unsound-elide at instr 4 after @P0 EXIT; got %v", diags)
 	}
 }

@@ -388,70 +388,61 @@ type scAnalysis struct {
 	p       *isa.Program
 	c       bounds.Contract
 	d       scDims
+	g       *isa.CFG
 	in      []scState
 	reached []bool
 }
 
-// succs lists the executable successors of i under its entry state
-// (guard-pruned branch edges; a predicated EXIT retires only its
-// guard-true lanes, so the rest fall through).
-func (a *scAnalysis) succs(i int, st *scState) []int {
+// live reports whether edge e out of instruction i is executable under
+// i's entry state: a guard proven true kills the fall-through of a BRA
+// or a predicated EXIT, a guard proven false kills a BRA's taken edge.
+func (a *scAnalysis) live(i int, e isa.Edge, st *scState) bool {
 	in := &a.p.Instrs[i]
+	if in.Op != isa.BRA && in.Op != isa.EXIT {
+		return true
+	}
 	gknown, gval := st.guard(in)
-	n := len(a.p.Instrs)
-	fall := func() []int {
-		if i+1 < n {
-			return []int{i + 1}
+	return !gknown || gval == e.Taken
+}
+
+// liveTo reports whether a live edge leads from i to h.
+func (a *scAnalysis) liveTo(i, h int) bool {
+	for _, e := range a.g.Succs(i) {
+		if e.To == h && a.live(i, e, &a.in[i]) {
+			return true
 		}
-		return nil
 	}
-	switch in.Op {
-	case isa.EXIT:
-		if gknown && gval {
-			return nil
-		}
-		return fall()
-	case isa.BRA:
-		var out []int
-		if !gknown || gval {
-			if tgt := int(in.Target); tgt < n {
-				out = append(out, tgt)
-			}
-		}
-		if !gknown || !gval {
-			out = append(out, fall()...)
-		}
-		return out
-	default:
-		return fall()
-	}
+	return false
 }
 
 // scAnalyze runs the conditional constant propagation to fixpoint.
 func scAnalyze(p *isa.Program, c bounds.Contract) *scAnalysis {
+	n := len(p.Instrs)
 	a := &scAnalysis{
-		p: p, c: c, d: scDimsOf(c),
-		in:      make([]scState, len(p.Instrs)),
-		reached: make([]bool, len(p.Instrs)),
+		p: p, c: c, d: scDimsOf(c), g: isa.NewCFG(p),
+		in:      make([]scState, n),
+		reached: make([]bool, n),
 	}
-	if len(p.Instrs) == 0 {
+	if n == 0 {
 		return a
 	}
-	work := []int{0}
+	work := isa.NewWorklist(n)
+	work.Push(0)
 	a.in[0] = scEntryState()
 	a.reached[0] = true
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
+	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
 		st := a.in[i]
 		out := scTransfer(p, c, a.d, i, &st)
-		for _, s := range a.succs(i, &st) {
-			if !a.reached[s] {
-				a.reached[s] = true
-				a.in[s] = out
-				work = append(work, s)
-			} else if a.in[s].meet(&out) {
-				work = append(work, s)
+		for _, e := range a.g.Succs(i) {
+			if !a.live(i, e, &st) {
+				continue
+			}
+			if !a.reached[e.To] {
+				a.reached[e.To] = true
+				a.in[e.To] = out
+				work.Push(e.To)
+			} else if a.in[e.To].meet(&out) {
+				work.Push(e.To)
 			}
 		}
 	}
@@ -775,19 +766,8 @@ func judgeUnroll(p *isa.Program, a *scAnalysis, t peval.Transform) (Diag, bool) 
 	// except the back edge.
 	var entry scState
 	found := false
-	for i := range p.Instrs {
-		if !a.reached[i] || i == be {
-			continue
-		}
-		st := a.in[i]
-		hasEdge := false
-		for _, s := range a.succs(i, &st) {
-			if s == h {
-				hasEdge = true
-				break
-			}
-		}
-		if !hasEdge {
+	for _, i := range a.g.Preds(h) {
+		if !a.reached[i] || i == be || !a.liveTo(i, h) {
 			continue
 		}
 		out := a.outState(i)

@@ -257,31 +257,17 @@ func ApplyTransform(p *isa.Program, prov []int, t Transform) (*isa.Program, []in
 			prev = d.PC
 			dropped[d.PC] = true
 		}
-		// newIdx[i] is the post-drop index of instruction i (for a
-		// dropped i, the next retained instruction — the fall-through
-		// semantics a branch into a dropped pure instruction lands on).
-		newIdx := make([]int32, len(p.Instrs)+1)
-		n := int32(0)
-		for i := range p.Instrs {
-			newIdx[i] = n
-			if !dropped[i] {
-				n++
-			}
-		}
-		newIdx[len(p.Instrs)] = n
+		// A branch into a dropped pure instruction lands on the next
+		// retained one: the fall-through semantics of the drop.
 		q := *p
-		q.Instrs = make([]isa.Instr, 0, int(n))
-		pr := make([]int, 0, int(n))
-		for i, in := range p.Instrs {
+		pr := make([]int, 0, len(p.Instrs))
+		q.Instrs = isa.Rewrite(p.Instrs, func(out []isa.Instr, i int) []isa.Instr {
 			if dropped[i] {
-				continue
+				return out
 			}
-			if in.Op == isa.BRA || in.Op == isa.SSY {
-				in.Target = newIdx[in.Target]
-			}
-			q.Instrs = append(q.Instrs, in)
 			pr = append(pr, prov[i])
-		}
+			return append(out, p.Instrs[i])
+		})
 		return &q, pr, nil
 
 	case TUnroll:

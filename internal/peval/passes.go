@@ -226,18 +226,8 @@ func bodyAdvance(p *isa.Program, bs, be int, ind isa.Reg, v uint64) (uint64, boo
 func loopEntryState(a *analysis, head, backEdge int) (consts, bool) {
 	var entry consts
 	found := false
-	for i := range a.p.Instrs {
-		if !a.reached[i] || i == backEdge {
-			continue
-		}
-		hasEdge := false
-		for _, s := range a.succs(i, a.in[i]) {
-			if s == head {
-				hasEdge = true
-				break
-			}
-		}
-		if !hasEdge {
+	for _, i := range a.g.Preds(head) {
+		if !a.reached[i] || i == backEdge || !a.liveTo(i, head) {
 			continue
 		}
 		out := a.outState(i)

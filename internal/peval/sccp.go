@@ -402,76 +402,64 @@ type analysis struct {
 	p       *isa.Program
 	c       bounds.Contract
 	d       dims
+	g       *isa.CFG
 	in      []consts
 	reached []bool
 }
 
-// succs lists the executable successor PCs of instruction i under its
-// entry state (guard-pruned branch edges; predicated EXIT falls
-// through for the lanes whose guard fails).
-func (a *analysis) succs(i int, st consts) []int {
+// live reports whether edge e out of instruction i is executable under
+// the entry state st: a guard proven true kills the fall-through of a
+// BRA or a predicated EXIT, a guard proven false kills a BRA's taken
+// edge.
+func (a *analysis) live(i int, e isa.Edge, st consts) bool {
 	in := &a.p.Instrs[i]
+	if in.Op != isa.BRA && in.Op != isa.EXIT {
+		return true
+	}
 	gknown, gval := st.guard(in)
-	n := len(a.p.Instrs)
-	fall := func() []int {
-		if i+1 < n {
-			return []int{i + 1}
+	return !gknown || gval == e.Taken
+}
+
+// liveTo reports whether a live edge leads from i to h.
+func (a *analysis) liveTo(i, h int) bool {
+	for _, e := range a.g.Succs(i) {
+		if e.To == h && a.live(i, e, a.in[i]) {
+			return true
 		}
-		return nil
 	}
-	switch in.Op {
-	case isa.EXIT:
-		if gknown && gval {
-			return nil
-		}
-		if gknown && !gval {
-			return fall()
-		}
-		return fall()
-	case isa.BRA:
-		tgt := int(in.Target)
-		var out []int
-		if !gknown || gval {
-			if tgt < n {
-				out = append(out, tgt)
-			}
-		}
-		if !gknown || !gval {
-			out = append(out, fall()...)
-		}
-		return out
-	default:
-		return fall()
-	}
+	return false
 }
 
 // sccpAnalyze runs the conditional constant propagation to fixpoint.
 func sccpAnalyze(p *isa.Program, c bounds.Contract) *analysis {
+	n := len(p.Instrs)
 	a := &analysis{
-		p: p, c: c, d: contractDims(c),
-		in:      make([]consts, len(p.Instrs)),
-		reached: make([]bool, len(p.Instrs)),
+		p: p, c: c, d: contractDims(c), g: isa.NewCFG(p),
+		in:      make([]consts, n),
+		reached: make([]bool, n),
 	}
-	if len(p.Instrs) == 0 {
+	if n == 0 {
 		return a
 	}
-	work := []int{0}
+	work := isa.NewWorklist(n)
+	work.Push(0)
 	a.in[0] = entryState()
 	a.reached[0] = true
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
+	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
 		st := a.in[i]
 		in := &p.Instrs[i]
 		gknown, gval := st.guard(in)
 		out := transfer(p, c, a.d, i, st, gknown, gval)
-		for _, s := range a.succs(i, st) {
-			if !a.reached[s] {
-				a.reached[s] = true
-				a.in[s] = out.clone()
-				work = append(work, s)
-			} else if a.in[s].meet(out) {
-				work = append(work, s)
+		for _, e := range a.g.Succs(i) {
+			if !a.live(i, e, st) {
+				continue
+			}
+			if !a.reached[e.To] {
+				a.reached[e.To] = true
+				a.in[e.To] = out.clone()
+				work.Push(e.To)
+			} else if a.in[e.To].meet(out) {
+				work.Push(e.To)
 			}
 		}
 	}

@@ -310,9 +310,9 @@ type analysis struct {
 	homeSyms map[int][]int32
 	symDirty bool
 
+	g       *isa.CFG
 	entries []state
-	inWork  []bool
-	indeg   []int
+	work    *isa.Worklist
 
 	oncePhaseMemo map[int]bool
 
@@ -326,7 +326,7 @@ type analysis struct {
 
 func newAnalysis(p *isa.Program, c bounds.Contract, src []compiler.SourceLoc) *analysis {
 	ax := &analysis{
-		p: p, src: src, c: c,
+		p: p, src: src, c: c, g: isa.NewCFG(p),
 		bx: c.BlockDimX, by: c.BlockDimY, gx: c.GridDimX, gy: c.GridDimY,
 		mergeSym:      map[mergeKey]int32{},
 		homeSyms:      map[int][]int32{},
@@ -470,55 +470,23 @@ func scrubSym(st *state, vid int32) {
 
 // --- fixpoint driver ---
 
-func (ax *analysis) push(pc int) {
-	if pc >= 0 && pc < len(ax.inWork) {
-		ax.inWork[pc] = true
-	}
-}
-
 func (ax *analysis) run() {
 	n := len(ax.p.Instrs)
 	if n == 0 {
 		return
 	}
 	ax.entries = make([]state, n)
-	ax.inWork = make([]bool, n)
-	// Static in-degrees: a pc with a single in-edge is not a merge
-	// point, so revisits of it during the fixpoint replace its entry
-	// instead of joining (joining across rounds there would manufacture
-	// spurious merges and degrade loop-carried values).
-	ax.indeg = make([]int, n)
-	ax.indeg[0]++ // implicit entry edge
-	var sbuf []int
-	for pc := range ax.p.Instrs {
-		sbuf = ax.structSuccs(pc, sbuf[:0])
-		for _, s := range sbuf {
-			if s >= 0 && s < n {
-				ax.indeg[s]++
-			}
-		}
-	}
+	ax.work = isa.NewWorklist(n)
 
 	init := state{live: true, regs: make([]rval, ax.p.NumRegs)}
 	for i := range init.regs {
 		init.regs[i] = mkConst(0) // register files are zero-initialized
 	}
 	ax.entries[0] = init
-	ax.push(0)
+	ax.work.Push(0)
 
 	budget := 256*n + 8192
-	for {
-		pc := -1
-		for i, w := range ax.inWork {
-			if w {
-				pc = i
-				break
-			}
-		}
-		if pc < 0 {
-			break
-		}
-		ax.inWork[pc] = false
+	for pc, ok := ax.work.Pop(); ok; pc, ok = ax.work.Pop() {
 		budget--
 		if budget < 0 {
 			ax.converged = false
@@ -533,7 +501,7 @@ func (ax *analysis) run() {
 			ax.symDirty = false
 			for i := range ax.entries {
 				if ax.entries[i].live {
-					ax.push(i)
+					ax.work.Push(i)
 				}
 			}
 		}
@@ -553,56 +521,43 @@ func (ax *analysis) step(pc int) []succ {
 	in := &ax.p.Instrs[pc]
 
 	switch in.Op {
-	case isa.EXIT:
-		if in.Pred == isa.PT {
-			return nil
-		}
-		// Survivors are the guard-false lanes. (Exited lanes do not
-		// block barriers in either simulator, so a thread-dependent EXIT
-		// is not barrier divergence.)
-		if !ax.refineGuard(&st, in.Pred, in.PredNeg) {
-			return nil
-		}
-		return []succ{{pc + 1, st}}
-
-	case isa.BRA:
-		if in.Pred == isa.PT {
-			return []succ{{int(in.Target), st}}
-		}
-		pf := st.preds[in.Pred&7]
-		divergent := !pf.uni
+	case isa.EXIT, isa.BRA:
+		// A BRA's taken edge carries its guard-true lanes; the
+		// fall-through of a BRA or a predicated EXIT its guard-false
+		// lanes. (Exited lanes do not block barriers in either
+		// simulator, so a thread-dependent EXIT is not barrier
+		// divergence.)
+		edges := ax.g.Succs(pc)
+		divergent := in.Op == isa.BRA && in.Pred != isa.PT && !st.preds[in.Pred&7].uni
 		join := divAll
-		if pc > 0 && ax.p.Instrs[pc-1].Op == isa.SSY {
-			join = ax.p.Instrs[pc-1].Target
+		if r := ax.g.Reconv(pc); r >= 0 {
+			join = int32(r)
 		}
-		taken := cloneState(&st)
-		fall := st
 		var out []succ
-		if ax.refineGuard(&taken, in.Pred, !in.PredNeg) {
-			if divergent {
-				taken.div = addDiv(taken.div, join)
+		for _, e := range edges {
+			est := cloneState(&st)
+			if !ax.refineGuard(&est, in.Pred, e.Taken != in.PredNeg) {
+				continue
 			}
-			out = append(out, succ{int(in.Target), taken})
-		}
-		if ax.refineGuard(&fall, in.Pred, in.PredNeg) {
 			if divergent {
-				fall.div = addDiv(fall.div, join)
+				est.div = addDiv(est.div, join)
 			}
-			out = append(out, succ{pc + 1, fall})
+			out = append(out, succ{e.To, est})
 		}
 		return out
 
 	default:
 		ax.transfer(&st, in)
-		return []succ{{pc + 1, st}}
+		var out []succ
+		for _, e := range ax.g.Succs(pc) {
+			out = append(out, succ{e.To, st})
+		}
+		return out
 	}
 }
 
 // flow merges an out-state into the entry of pc `to`.
 func (ax *analysis) flow(from, to int, inc state) {
-	if to < 0 || to >= len(ax.p.Instrs) {
-		return
-	}
 	// Symbols homed here are being redefined: capture the incoming full
 	// range of each home register first (its value is expressed in terms
 	// of the PREVIOUS symbol value, whose range is still the one to fold
@@ -621,17 +576,17 @@ func (ax *analysis) flow(from, to int, inc state) {
 	old := &ax.entries[to]
 	if !old.live {
 		ax.entries[to] = inc
-		ax.push(to)
+		ax.work.Push(to)
 		return
 	}
 	// Single static in-edge: the entry here IS the predecessor's
 	// out-state, so a revisit replaces it outright. Joining would treat
 	// successive fixpoint rounds as a control-flow merge, spawning
 	// symbols and widening along straight-line code.
-	if ax.indeg[to] <= 1 {
+	if ax.g.InDegree(to) <= 1 {
 		if !stateEq(old, &inc) {
 			ax.entries[to] = inc
-			ax.push(to)
+			ax.work.Push(to)
 		}
 		return
 	}
@@ -743,7 +698,7 @@ func (ax *analysis) flow(from, to int, inc state) {
 		ax.resetDownstream(to)
 	}
 	if changed {
-		ax.push(to)
+		ax.work.Push(to)
 	}
 }
 
@@ -752,27 +707,21 @@ func (ax *analysis) flow(from, to int, inc state) {
 // the cleared region re-deliver their contributions. Bounded: symbol
 // creation is memoized per (pc, reg), so each site resets once.
 func (ax *analysis) resetDownstream(h int) {
-	n := len(ax.p.Instrs)
-	seen := make([]bool, n)
-	stack := ax.structSuccs(h, nil)
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if q < 0 || q >= n || q == h || seen[q] {
-			continue
-		}
-		seen[q] = true
-		stack = ax.structSuccs(q, stack)
+	seen := make([]bool, len(ax.p.Instrs))
+	seen[h] = true
+	for _, e := range ax.g.Succs(h) {
+		ax.g.Reach(e.To, seen)
 	}
+	seen[h] = false
 	for pc, s := range seen {
 		if s && ax.entries[pc].live {
 			ax.entries[pc] = state{}
-			ax.inWork[pc] = false
+			ax.work.Remove(pc)
 		}
 	}
 	for pc := range ax.entries {
 		if ax.entries[pc].live {
-			ax.push(pc)
+			ax.work.Push(pc)
 		}
 	}
 }
@@ -845,7 +794,7 @@ func (ax *analysis) mulRV(a, b rval) rval {
 }
 
 func (ax *analysis) transfer(st *state, in *isa.Instr) {
-	predicated := in.Pred != isa.PT
+	predicated := in.Pred != isa.PT || in.PredNeg
 	guardUni := false
 	if predicated {
 		guardUni = st.preds[in.Pred&7].uni
@@ -1382,29 +1331,7 @@ func clampResid(v *rval, lo, hi int64) bool {
 	return true
 }
 
-// --- structural CFG helpers ---
-
-// structSuccs are the static successors of pc, ignoring barrier cuts.
-func (ax *analysis) structSuccs(pc int, buf []int) []int {
-	in := &ax.p.Instrs[pc]
-	switch in.Op {
-	case isa.BRA:
-		if in.Pred == isa.PT {
-			return append(buf, int(in.Target))
-		}
-		return append(buf, int(in.Target), pc+1)
-	case isa.EXIT:
-		if in.Pred == isa.PT {
-			return buf
-		}
-		return append(buf, pc+1)
-	default:
-		if pc+1 < len(ax.p.Instrs) {
-			return append(buf, pc+1)
-		}
-		return buf
-	}
-}
+// --- barrier phases ---
 
 // oncePerPhase reports whether pc cannot re-execute within one barrier
 // phase: every static cycle through pc crosses an unpredicated BAR.
@@ -1413,30 +1340,11 @@ func (ax *analysis) oncePerPhase(pc int) bool {
 		return v
 	}
 	seen := make([]bool, len(ax.p.Instrs))
-	stack := ax.structSuccs(pc, nil)
-	res := true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if q < 0 || q >= len(seen) {
-			continue
-		}
-		if q == pc {
-			res = false
-			break
-		}
-		if seen[q] {
-			continue
-		}
-		seen[q] = true
-		in := &ax.p.Instrs[q]
-		if in.Op == isa.BAR && in.Pred == isa.PT {
-			continue // the phase ends here
-		}
-		stack = ax.structSuccs(q, stack)
+	for _, e := range ax.g.Succs(pc) {
+		ax.g.PhaseReach(e.To, seen)
 	}
-	ax.oncePhaseMemo[pc] = res
-	return res
+	ax.oncePhaseMemo[pc] = !seen[pc]
+	return !seen[pc]
 }
 
 // phaseRegions returns, for each phase source (program entry and every
@@ -1446,30 +1354,13 @@ func (ax *analysis) oncePerPhase(pc int) bool {
 // open a region (they may or may not fire).
 func (ax *analysis) phaseRegions() [][]bool {
 	n := len(ax.p.Instrs)
-	var sources []int
-	sources = append(sources, 0)
-	for pc, in := range ax.p.Instrs {
-		if in.Op == isa.BAR && pc+1 < n {
-			sources = append(sources, pc+1)
+	var regions [][]bool
+	for src := 0; src < n; src++ {
+		if src > 0 && ax.p.Instrs[src-1].Op != isa.BAR {
+			continue
 		}
-	}
-	regions := make([][]bool, 0, len(sources))
-	for _, src := range sources {
 		seen := make([]bool, n)
-		stack := []int{src}
-		for len(stack) > 0 {
-			q := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if q < 0 || q >= n || seen[q] {
-				continue
-			}
-			seen[q] = true
-			in := &ax.p.Instrs[q]
-			if in.Op == isa.BAR && in.Pred == isa.PT {
-				continue
-			}
-			stack = ax.structSuccs(q, stack)
-		}
+		ax.g.PhaseReach(src, seen)
 		regions = append(regions, seen)
 	}
 	return regions

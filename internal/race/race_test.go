@@ -376,3 +376,36 @@ func TestFMInfeasible(t *testing.T) {
 		t.Fatalf("tree-reduction system should be infeasible")
 	}
 }
+
+// TestNeverTakenBranch: @!PT BRA is never taken, so the store after it
+// runs in every thread and races with itself.
+func TestNeverTakenBranch(t *testing.T) {
+	rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+	p := &isa.Program{Name: "never_taken", NumRegs: 1, Instrs: []isa.Instr{
+		{Op: isa.BRA, Dst: isa.RZ, Src: rz, Target: 3, Pred: isa.PT, PredNeg: true},
+		{Op: isa.STS, Dst: isa.RZ, Src: [3]isa.Reg{isa.RZ, 0, isa.RZ}, Aux: 2, Pred: isa.PT},
+		{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+	}}
+	rs := races(Analyze(p, contract1D(64, 1), nil))
+	if len(rs) != 1 || rs[0].Race != sim.RaceWW || rs[0].PC != 1 || rs[0].OtherPC != 1 {
+		t.Fatalf("want one write-write race at the STS (pc 1), got %+v", rs)
+	}
+}
+
+// TestNeverExecutedWrite: the @!PT instructions that would spread the
+// store address over the threads never run, so every thread stores to
+// sh[0] and the analysis must not prove the store race-free.
+func TestNeverExecutedWrite(t *testing.T) {
+	rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+	p := &isa.Program{Name: "never_executed", NumRegs: 2, Instrs: []isa.Instr{
+		{Op: isa.MOV, Dst: 1, Src: rz, HasImm: true, Pred: isa.PT},
+		{Op: isa.S2R, Dst: 1, Src: rz, Aux: uint8(isa.SRTidX), Pred: isa.PT, PredNeg: true},
+		{Op: isa.SHL, Dst: 1, Src: [3]isa.Reg{1, isa.RZ, isa.RZ}, Imm: 2, HasImm: true,
+			Pred: isa.PT, PredNeg: true},
+		{Op: isa.STS, Dst: isa.RZ, Src: [3]isa.Reg{1, 0, isa.RZ}, Aux: 2, Pred: isa.PT},
+		{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+	}}
+	if res := Analyze(p, contract1D(64, 1), nil); res.Clean() {
+		t.Fatal("every thread stores to sh[0], yet the program was proved race-free")
+	}
+}
