@@ -102,6 +102,7 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCycleGolden(t, "fig12_cycle_stats", res.Report)
 	if len(res.Rows) != 28 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -158,6 +159,7 @@ func TestFig13SubsetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCycleGolden(t, "fig13_subset_cycle_stats", res.Report)
 	if res.LMIDBIMean < 20 {
 		t.Errorf("LMI-DBI geomean %.1f, want tens of times", res.LMIDBIMean)
 	}

@@ -86,9 +86,10 @@ func TestWatchdogBarrierDeadlock(t *testing.T) {
 		t.Errorf("partial stats returned from deadlocked launch: %+v", st)
 	}
 	// "Well before MaxCycles": the default limit is 2e9 cycles; the
-	// watchdog must fire within a few polling intervals of the threshold.
-	if we.Cycle > 100_000 {
-		t.Errorf("fired at cycle %d, expected shortly after the 2000-cycle stall", we.Cycle)
+	// watchdog fires at the first 1024-cycle poll past the 2000-cycle
+	// stall. The exact cycle pins the poll cadence.
+	if we.Cycle != 2048 {
+		t.Errorf("fired at cycle %d, want 2048 (first poll after the 2000-cycle stall)", we.Cycle)
 	}
 	if we.Kernel != "bar_deadlock" || we.Detail == "" {
 		t.Errorf("incomplete error context: %+v", we)
@@ -113,8 +114,8 @@ func TestWatchdogNoProgress(t *testing.T) {
 	if st != nil {
 		t.Errorf("partial stats returned: %+v", st)
 	}
-	if we.Cycle > 100_000 {
-		t.Errorf("fired at cycle %d, expected shortly after 3000 stalled cycles", we.Cycle)
+	if we.Cycle != 3072 {
+		t.Errorf("fired at cycle %d, want 3072 (first poll after 3000 stalled cycles)", we.Cycle)
 	}
 }
 
