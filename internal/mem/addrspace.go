@@ -45,19 +45,23 @@ func (m *AddrSpace) page(addr uint64, alloc bool) *[pageSize]byte {
 // as a fresh slice.
 func (m *AddrSpace) ReadBytes(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	for i := 0; i < size; {
-		p := m.page(addr+uint64(i), false)
-		off := int((addr + uint64(i)) & pageMask)
-		n := pageSize - off
-		if n > size-i {
-			n = size - i
-		}
-		if p != nil {
-			copy(out[i:i+n], p[off:off+n])
+	m.readInto(addr, out)
+	return out
+}
+
+// readInto fills dst with the bytes at addr; unmapped bytes read as zero.
+func (m *AddrSpace) readInto(addr uint64, dst []byte) {
+	for i := 0; i < len(dst); {
+		a := addr + uint64(i)
+		off := int(a & pageMask)
+		n := min(pageSize-off, len(dst)-i)
+		if p := m.page(a, false); p != nil {
+			copy(dst[i:i+n], p[off:off+n])
+		} else {
+			clear(dst[i : i+n])
 		}
 		i += n
 	}
-	return out
 }
 
 // WriteBytes stores src at addr.
@@ -76,10 +80,13 @@ func (m *AddrSpace) WriteBytes(addr uint64, src []byte) {
 
 // Read loads a size-byte little-endian unsigned value (size 1, 2, 4 or 8).
 func (m *AddrSpace) Read(addr uint64, size int) uint64 {
-	// Fast path: access within one page.
-	p := m.page(addr, false)
+	// Fast path: access within one page. An unmapped page reads as zero.
 	off := int(addr & pageMask)
-	if p != nil && off+size <= pageSize {
+	if off+size <= pageSize {
+		p := m.page(addr, false)
+		if p == nil {
+			return 0
+		}
 		switch size {
 		case 1:
 			return uint64(p[off])
@@ -91,8 +98,9 @@ func (m *AddrSpace) Read(addr uint64, size int) uint64 {
 			return binary.LittleEndian.Uint64(p[off:])
 		}
 	}
+	// A page-crossing read is assembled on the stack.
 	var buf [8]byte
-	copy(buf[:size], m.ReadBytes(addr, size))
+	m.readInto(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 

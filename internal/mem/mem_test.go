@@ -44,6 +44,45 @@ func TestAddrSpaceCrossPage(t *testing.T) {
 	}
 }
 
+// TestAddrSpaceReadNoAlloc: Read never allocates, neither for an
+// unmapped page nor for a read that crosses a page boundary.
+func TestAddrSpaceReadNoAlloc(t *testing.T) {
+	m := NewAddrSpace()
+	m.Write(pageSize-4, 0x1122334455667788, 8)
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += m.Read(16*pageSize+8, 8) }); n != 0 {
+		t.Errorf("unmapped read: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink += m.Read(pageSize-4, 8) }); n != 0 {
+		t.Errorf("page-crossing read: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink += m.Read(3*pageSize-2, 4) }); n != 0 {
+		t.Errorf("unmapped page-crossing read: %v allocs, want 0", n)
+	}
+	_ = sink
+}
+
+// TestAddrSpaceReadAcrossPartlyMappedBoundary: a read that crosses from
+// a mapped page into an unmapped one (or back) takes the mapped bytes
+// and zeros for the rest.
+func TestAddrSpaceReadAcrossPartlyMappedBoundary(t *testing.T) {
+	m := NewAddrSpace()
+	m.Write(2*pageSize-3, 0xaabbcc, 3) // last 3 bytes of page 1 only
+	if got := m.Read(2*pageSize-3, 8); got != 0xaabbcc {
+		t.Errorf("mapped->unmapped read = %#x, want 0xaabbcc", got)
+	}
+	m.Write(4*pageSize, 0xddee, 2) // first 2 bytes of page 4 only
+	if got := m.Read(4*pageSize-2, 4); got != 0xddee0000 {
+		t.Errorf("unmapped->mapped read = %#x, want 0xddee0000", got)
+	}
+	if got := m.Read(4*pageSize-1, 2); got != 0xee00 {
+		t.Errorf("2-byte crossing read = %#x, want 0xee00", got)
+	}
+	if m.Pages() != 2 {
+		t.Errorf("reads mapped pages: %d, want 2", m.Pages())
+	}
+}
+
 // Property: write-then-read returns the written value for all sizes and
 // addresses (value truncated to the access size).
 func TestPropertyAddrSpaceRoundTrip(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"lmi/internal/alloc"
 	"lmi/internal/core"
@@ -25,6 +26,41 @@ func localPhys(warpGlobalID, lane int, va uint64) uint64 {
 		(va>>2)*128 + uint64(lane)*4
 }
 
+// coalescer collects the distinct cache lines one warp memory
+// instruction touches, in first-touch order. Each lane touches at most
+// two lines, so 64 entries always suffice.
+type coalescer struct {
+	lines    [64]uint64
+	n        int
+	prev     uint64
+	havePrev bool
+}
+
+// add records line la unless this access already touches it (lanes may
+// stride across a few lines, so the whole list is checked).
+func (c *coalescer) add(la uint64) {
+	for _, e := range c.lines[:c.n] {
+		if e == la {
+			return
+		}
+	}
+	c.lines[c.n] = la
+	c.n++
+}
+
+// addAccess records the line(s) a size-byte access at phys touches.
+func (c *coalescer) addAccess(phys, size, lineSize uint64) {
+	la := phys / lineSize
+	if !(c.havePrev && la == c.prev) {
+		c.add(la)
+	}
+	c.prev, c.havePrev = la, true
+	// An access straddling a line boundary touches the next line too.
+	if (phys%lineSize)+size > lineSize {
+		c.add(la + 1)
+	}
+}
+
 // memAccess executes one warp-level memory instruction: per-lane safety
 // checks (the EC site), functional access, coalescing, and latency.
 func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int) {
@@ -35,44 +71,14 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	isStore := in.Op.IsStore()
 
 	var (
-		lineAddrs   []uint64
-		prevLine    uint64
-		havePrev    bool
+		co          coalescer
 		prevRawLine uint64
 		haveRaw     bool
 		extraSum    uint64
 	)
-	addOne := func(la uint64) {
-		// Dedup against all transactions of this access, not just the
-		// previous lane (lanes may stride across a few lines).
-		for _, e := range lineAddrs {
-			if e == la {
-				return
-			}
-		}
-		lineAddrs = append(lineAddrs, la)
-	}
-	addLine := func(phys uint64) {
-		la := phys / cfg.LineSize
-		if !(havePrev && la == prevLine) {
-			addOne(la)
-		}
-		prevLine, havePrev = la, true
-		// An access straddling a line boundary touches the next line too.
-		if (phys%cfg.LineSize)+size > cfg.LineSize {
-			addOne(la + 1)
-		}
-	}
-
-	for lane := 0; lane < len(w.regs); lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
-		raw := uint64(0)
-		if in.Src[0] != isa.RZ {
-			raw = w.regs[lane][in.Src[0]]
-		}
-		raw += sx32(in.Imm)
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		raw := w.src(lane, in.Src[0]) + sx32(in.Imm)
 
 		// Coalescing is judged on raw (possibly tagged) pointer lines:
 		// tag bits are constant within a buffer, so lanes falling in the
@@ -113,30 +119,13 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 		}
 
 		// Functional access.
+		var as *mem.AddrSpace
+		phys := eff
 		switch space {
 		case isa.SpaceGlobal:
-			if in.Op == isa.ATOMG {
-				old := ls.dev.Global.Read(eff, int(size))
-				add := uint64(0)
-				if in.Src[1] != isa.RZ {
-					add = w.regs[lane][in.Src[1]]
-				}
-				ls.dev.Global.Write(eff, uint64(uint32(int32(old)+int32(add))), int(size))
-				if in.Dst != isa.RZ {
-					w.regs[lane][in.Dst] = old
-				}
-			} else if isStore {
-				val := uint64(0)
-				if in.Src[1] != isa.RZ {
-					val = w.regs[lane][in.Src[1]]
-				}
-				ls.dev.Global.Write(eff, val, int(size))
-			} else {
-				w.loadInto(lane, in, ls.dev.Global.Read(eff, int(size)))
-			}
-			addLine(eff)
+			as = ls.dev.Global
 		case isa.SpaceShared:
-			shm := w.block.shared
+			as = w.block.shared
 			if w.block.race != nil {
 				kind := RaceRead
 				if in.Op == isa.ATOMS {
@@ -146,47 +135,33 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 				}
 				w.block.race.Record(pc, w.warpIdx*32+lane, kind, eff, uint64(size))
 			}
-			if in.Op == isa.ATOMS {
-				old := shm.Read(eff, int(size))
-				add := uint64(0)
-				if in.Src[1] != isa.RZ {
-					add = w.regs[lane][in.Src[1]]
-				}
-				shm.Write(eff, uint64(uint32(int32(old)+int32(add))), int(size))
-				if in.Dst != isa.RZ {
-					w.regs[lane][in.Dst] = old
-				}
-			} else if isStore {
-				val := uint64(0)
-				if in.Src[1] != isa.RZ {
-					val = w.regs[lane][in.Src[1]]
-				}
-				shm.Write(eff, val, int(size))
-			} else {
-				w.loadInto(lane, in, shm.Read(eff, int(size)))
-			}
-			addLine(eff)
 		case isa.SpaceLocal:
-			lm := w.locals[lane]
-			if lm == nil {
-				lm = mem.NewAddrSpace()
-				w.locals[lane] = lm
+			as = w.locals[lane]
+			if as == nil {
+				as = mem.NewAddrSpace()
+				w.locals[lane] = as
 			}
-			if isStore {
-				val := uint64(0)
-				if in.Src[1] != isa.RZ {
-					val = w.regs[lane][in.Src[1]]
-				}
-				lm.Write(eff, val, int(size))
-			} else {
-				w.loadInto(lane, in, lm.Read(eff, int(size)))
-			}
-			addLine(localPhys(w.globalID, lane, eff))
+			phys = localPhys(w.globalID, lane, eff)
 		}
+		switch {
+		case in.Op == isa.ATOMG || in.Op == isa.ATOMS:
+			old := as.Read(eff, int(size))
+			add := w.src(lane, in.Src[1])
+			as.Write(eff, uint64(uint32(int32(old)+int32(add))), int(size))
+			if in.Dst != isa.RZ {
+				w.rf[lane*w.nregs+int(in.Dst)] = old
+			}
+		case isStore:
+			as.Write(eff, w.src(lane, in.Src[1]), int(size))
+		default:
+			w.loadInto(lane, in, as.Read(eff, int(size)))
+		}
+		co.addAccess(phys, size, cfg.LineSize)
 	}
 
 	// Timing: serialize one transaction per cycle at the LSU; each
 	// transaction traverses the hierarchy.
+	lineAddrs := co.lines[:co.n]
 	var latency uint64
 	switch space {
 	case isa.SpaceShared:
@@ -216,9 +191,7 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	latency += extraSum
 
 	if in.Op.IsLoad() && in.Dst != isa.RZ {
-		if rdy := ls.cycle + latency; w.regReady[in.Dst] < rdy {
-			w.regReady[in.Dst] = rdy
-		}
+		w.regReady[in.Dst] = max(w.regReady[in.Dst], ls.cycle+latency)
 	}
 }
 
@@ -231,7 +204,7 @@ func (w *warp) loadInto(lane int, in *isa.Instr, v uint64) {
 	if in.SignExtend() && in.AccSize() == 4 {
 		v = sx32(int32(uint32(v)))
 	}
-	w.regs[lane][in.Dst] = v
+	w.rf[lane*w.nregs+int(in.Dst)] = v
 }
 
 // heapOp executes device malloc/free for each active lane (§V-B "Heap
@@ -241,15 +214,10 @@ func (ls *launch) heapOp(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int)
 	ls.progress()
 	cfg := &ls.dev.Cfg
 	lanes := uint64(0)
-	for lane := 0; lane < len(w.regs); lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
-		}
+	for m := exec; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		lanes++
-		val := uint64(0)
-		if in.Src[0] != isa.RZ {
-			val = w.regs[lane][in.Src[0]]
-		}
+		val := w.src(lane, in.Src[0])
 		if in.Op == isa.MALLOC {
 			size := val
 			if int64(size) < 0 {
@@ -270,7 +238,7 @@ func (ls *launch) heapOp(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int)
 					ls.halted = true
 					return
 				}
-				w.regs[lane][in.Dst] = tagged
+				w.rf[lane*w.nregs+int(in.Dst)] = tagged
 			}
 		} else { // FREE
 			addr := ls.dev.Mech.UntagFree(val, isa.SpaceHeap)
@@ -291,9 +259,7 @@ func (ls *launch) heapOp(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int)
 	}
 	lat := cfg.MallocBaseLatency + cfg.MallocLaneLatency*lanes
 	if in.Op == isa.MALLOC && in.Dst != isa.RZ {
-		if rdy := ls.cycle + lat; w.regReady[in.Dst] < rdy {
-			w.regReady[in.Dst] = rdy
-		}
+		w.regReady[in.Dst] = max(w.regReady[in.Dst], ls.cycle+lat)
 	}
 	// Free also occupies the LSU for the same duration.
 	if in.Op == isa.FREE {
