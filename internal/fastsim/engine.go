@@ -237,10 +237,7 @@ func (e *engine) runBlock(ctaid int) {
 	e.smID = ctaid % e.cfg.NumSMs
 	e.blockBase = e.smTime[e.smID]
 	wpb := (e.bdim + 31) / 32
-	numRegs := e.c.prog.NumRegs
-	if numRegs < 8 {
-		numRegs = 8
-	}
+	numRegs := e.c.prog.RegFileWidth()
 	shared := mem.NewAddrSpace()
 	if e.race != nil {
 		e.shadow = e.race.NewBlockShadow()

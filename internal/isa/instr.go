@@ -336,12 +336,23 @@ type StackBuffer struct {
 }
 
 // Validate checks the program: every instruction well-formed, every branch
-// target in range.
+// target in range, every named register inside the per-lane register
+// file (RegFileWidth).
 func (p *Program) Validate() error {
+	nregs := p.RegFileWidth()
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if err := in.Validate(); err != nil {
 			return fmt.Errorf("isa: %s[%d]: %w", p.Name, i, err)
+		}
+		for _, r := range in.Src {
+			if r != RZ && int(r) >= nregs {
+				return fmt.Errorf("isa: %s[%d]: source %s outside the %d-register file", p.Name, i, r, nregs)
+			}
+		}
+		// SETP/FSETP's Dst names a predicate, not a register.
+		if in.Op != SETP && in.Op != FSETP && in.Dst != RZ && int(in.Dst) >= nregs {
+			return fmt.Errorf("isa: %s[%d]: destination %s outside the %d-register file", p.Name, i, in.Dst, nregs)
 		}
 		if in.Op == BRA || in.Op == SSY {
 			if int(in.Target) > len(p.Instrs) {
@@ -370,6 +381,12 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("isa: %s: program has no EXIT", p.Name)
 	}
 	return nil
+}
+
+// RegFileWidth is the per-lane register-file width both simulators
+// allocate: NumRegs, but at least 8.
+func (p *Program) RegFileWidth() int {
+	return max(p.NumRegs, 8)
 }
 
 // Disassemble renders the whole program with instruction indices.

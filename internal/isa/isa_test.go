@@ -327,6 +327,37 @@ func TestProgramValidateAndDisassemble(t *testing.T) {
 	}
 }
 
+// TestProgramValidateRegisters: every register an instruction names
+// must lie inside the per-lane register file of max(NumRegs, 8)
+// registers that both simulators allocate; a program that understates
+// NumRegs is rejected rather than letting a lane reach its neighbour's
+// registers.
+func TestProgramValidateRegisters(t *testing.T) {
+	exit := Instr{Op: EXIT, Pred: PT, Src: [3]Reg{RZ, RZ, RZ}}
+	cases := []struct {
+		name    string
+		numRegs int
+		in      Instr
+		ok      bool
+	}{
+		{"dst below declared", 12, Instr{Op: IADD, Dst: 11, Src: [3]Reg{0, 1, RZ}, Pred: PT}, true},
+		{"dst at declared", 12, Instr{Op: IADD, Dst: 12, Src: [3]Reg{0, 1, RZ}, Pred: PT}, false},
+		{"src past declared", 12, Instr{Op: IADD, Dst: 0, Src: [3]Reg{0, 13, RZ}, Pred: PT}, false},
+		{"third src past declared", 12, Instr{Op: IMAD, Dst: 0, Src: [3]Reg{0, 1, 40}, Pred: PT}, false},
+		{"RZ always allowed", 0, Instr{Op: IADD, Dst: RZ, Src: [3]Reg{RZ, RZ, RZ}, Pred: PT}, true},
+		{"minimum file of 8", 0, Instr{Op: IADD, Dst: 7, Src: [3]Reg{6, 5, RZ}, Pred: PT}, true},
+		{"past minimum file", 0, Instr{Op: IADD, Dst: 8, Src: [3]Reg{0, 1, RZ}, Pred: PT}, false},
+		{"understated store data", 3, Instr{Op: STG, Dst: RZ, Src: [3]Reg{1, 9, RZ}, Aux: 2, Pred: PT}, false},
+		{"SETP dst names a predicate", 0, Instr{Op: SETP, Dst: 6, Src: [3]Reg{0, RZ, RZ}, HasImm: true, Aux: uint8(CmpLT), Pred: PT}, true},
+	}
+	for _, tc := range cases {
+		p := &Program{Name: tc.name, Instrs: []Instr{tc.in, exit}, NumRegs: tc.numRegs}
+		if err := p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestInstrStringForms(t *testing.T) {
 	cases := []struct {
 		in   Instr
