@@ -98,13 +98,16 @@ bundle:
 	$(GO) run ./cmd/lmi-compile -verify-bundle lmi-bundle.json \
 		-pub $$(echo "$$out" | awk '$$1 == "signer" { print $$2 }')
 
-# The fast-path tier gate: the full workload differential corpus and
-# the chaos campaign replayed through both execution tiers (the
-# compiled tier's functional projection must be bit-identical to the
-# cycle simulator), then the whole bench sweep on the compiled tier —
-# nonzero exit on any divergence or experiment failure.
+# The fast-path tier gate: the full workload differential corpus, the
+# operand-form table and the chaos campaign replayed through both
+# execution tiers (the compiled tier's functional projection and memory
+# bytes must be bit-identical to the cycle simulator), the random-kernel
+# fuzz against the IR interpreter on both tiers, then the whole bench
+# sweep on the compiled tier — nonzero exit on any divergence or
+# experiment failure.
 fast:
-	$(GO) test -run 'TestDifferentialWorkloadCorpus' ./internal/fastsim/
+	$(GO) test -run 'TestDifferentialWorkloadCorpus|TestCompiledOperandForms' ./internal/fastsim/
+	$(GO) test -run 'TestDifferentialFuzz' ./internal/sim/
 	$(GO) test -run 'TestTierDifferentialChaosCorpus' ./internal/chaos/
 	$(GO) run ./cmd/lmi-bench -all -tier compiled
 

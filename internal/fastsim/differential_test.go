@@ -16,30 +16,60 @@ import (
 )
 
 // launchBoth runs one program on a fresh device per tier (identical
-// config, mechanism, and allocations) and returns both outcomes.
+// config, mechanism, and allocations, with the same deterministic
+// non-zero bytes written into in) and returns both outcomes. When
+// neither launch halted nor faulted it also compares the final in and
+// out buffers byte for byte, so a tier that writes wrong values without
+// changing control flow cannot pass.
 func launchBoth(t *testing.T, prog *isa.Program, v workloads.Variant, cfg sim.Config, grid, block int, n uint64) (cycle, fast *sim.KernelStats) {
 	t.Helper()
-	run := func(tier fastsim.Tier) *sim.KernelStats {
+	size := int(n * 4)
+	init := make([]byte, size)
+	for i := range init {
+		init[i] = byte(i%255 + 1)
+	}
+	run := func(tier fastsim.Tier) (*sim.KernelStats, []byte) {
 		dev, err := sim.NewDevice(cfg, workloads.NewMechanism(v))
 		if err != nil {
 			t.Fatalf("device: %v", err)
 		}
-		bytes := n * 4
-		in, err := dev.Malloc(bytes)
+		in, err := dev.Malloc(uint64(size))
 		if err != nil {
 			t.Fatalf("malloc: %v", err)
 		}
-		out, err := dev.Malloc(bytes)
+		out, err := dev.Malloc(uint64(size))
 		if err != nil {
 			t.Fatalf("malloc: %v", err)
 		}
+		dev.WriteGlobal(in, init)
 		st, err := fastsim.LaunchTierCtx(context.Background(), tier, dev, prog, grid, block, []uint64{in, out, n})
 		if err != nil {
 			t.Fatalf("%v tier: %v", tier, err)
 		}
-		return st
+		mem := append(dev.ReadGlobal(in, size), dev.ReadGlobal(out, size)...)
+		// out[n-1] is masked: the workload kernels clamp every
+		// past-the-end element index to n-1, so each of those threads
+		// stores its own accumulator there. That is an unordered global
+		// write-write, and its last writer depends on the schedule.
+		clear(mem[2*size-4:])
+		return st, mem
 	}
-	return run(fastsim.TierCycle), run(fastsim.TierCompiled)
+	cycle, cmem := run(fastsim.TierCycle)
+	fast, fmem := run(fastsim.TierCompiled)
+	if cycle.Halted || fast.Halted || len(cycle.Faults) != 0 || len(fast.Faults) != 0 {
+		return cycle, fast
+	}
+	for i := range cmem {
+		if cmem[i] != fmem[i] {
+			buf, off := "in", i
+			if i >= size {
+				buf, off = "out", i-size
+			}
+			t.Errorf("%s/%v: %s byte %d diverges: cycle=%#02x compiled=%#02x", prog.Name, v, buf, off, cmem[i], fmem[i])
+			break
+		}
+	}
+	return cycle, fast
 }
 
 // faultProjection renders a fault record without its scheduling

@@ -1,12 +1,14 @@
 package sim_test
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 
 	"lmi/internal/compiler"
+	"lmi/internal/fastsim"
 	"lmi/internal/ir"
 	"lmi/internal/isa"
 	"lmi/internal/mem"
@@ -90,7 +92,8 @@ func genRandomKernel(r *rand.Rand, nOps int) *ir.Func {
 }
 
 // TestDifferentialFuzz cross-checks random kernels between the IR
-// interpreter and the cycle-level simulator under both compile modes.
+// interpreter, the cycle-level simulator and the compiled tier under
+// both compile modes.
 func TestDifferentialFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(20260706))
 	const threads = 64
@@ -125,33 +128,37 @@ func TestDifferentialFuzz(t *testing.T) {
 					t.Fatalf("trial %d optimize: %v", trial, err)
 				}
 			}
-			dev, err := sim.NewDevice(sim.ScaledConfig(1), tc.mech)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p1, _ := dev.Malloc(4 * threads)
-			p2, _ := dev.Malloc(4 * threads)
-			st, err := dev.Launch(prog, 2, 32, []uint64{p1, p2})
-			if err != nil {
-				t.Fatalf("trial %d launch: %v", trial, err)
-			}
-			if len(st.Faults) > 0 {
-				t.Fatalf("trial %d %s: spurious fault %v\n%s", trial, tc.mech.Name(), st.Faults[0], f)
-			}
-			gotI := dev.ReadGlobal(p1, 4*threads)
-			gotF := dev.ReadGlobal(p2, 4*threads)
-			for i := 0; i < threads; i++ {
-				wi := binary.LittleEndian.Uint32(wantI[4*i:])
-				gi := binary.LittleEndian.Uint32(gotI[4*i:])
-				if wi != gi {
-					t.Fatalf("trial %d %s thread %d: int %#x != %#x\n%s",
-						trial, tc.mech.Name(), i, gi, wi, f)
+			// The cycle tier and the compiled tier are each an oracle
+			// for the interpreter: both must reproduce its bytes.
+			for _, tier := range []fastsim.Tier{fastsim.TierCycle, fastsim.TierCompiled} {
+				dev, err := sim.NewDevice(sim.ScaledConfig(1), tc.mech)
+				if err != nil {
+					t.Fatal(err)
 				}
-				wf := math.Float32frombits(binary.LittleEndian.Uint32(wantF[4*i:]))
-				gf := math.Float32frombits(binary.LittleEndian.Uint32(gotF[4*i:]))
-				if wf != gf && !(math.IsNaN(float64(wf)) && math.IsNaN(float64(gf))) {
-					t.Fatalf("trial %d %s thread %d: float %v != %v\n%s",
-						trial, tc.mech.Name(), i, gf, wf, f)
+				p1, _ := dev.Malloc(4 * threads)
+				p2, _ := dev.Malloc(4 * threads)
+				st, err := fastsim.LaunchTierCtx(context.Background(), tier, dev, prog, 2, 32, []uint64{p1, p2})
+				if err != nil {
+					t.Fatalf("trial %d %v launch: %v", trial, tier, err)
+				}
+				if len(st.Faults) > 0 {
+					t.Fatalf("trial %d %s %v: spurious fault %v\n%s", trial, tc.mech.Name(), tier, st.Faults[0], f)
+				}
+				gotI := dev.ReadGlobal(p1, 4*threads)
+				gotF := dev.ReadGlobal(p2, 4*threads)
+				for i := 0; i < threads; i++ {
+					wi := binary.LittleEndian.Uint32(wantI[4*i:])
+					gi := binary.LittleEndian.Uint32(gotI[4*i:])
+					if wi != gi {
+						t.Fatalf("trial %d %s %v thread %d: int %#x != %#x\n%s",
+							trial, tc.mech.Name(), tier, i, gi, wi, f)
+					}
+					wf := math.Float32frombits(binary.LittleEndian.Uint32(wantF[4*i:]))
+					gf := math.Float32frombits(binary.LittleEndian.Uint32(gotF[4*i:]))
+					if wf != gf && !(math.IsNaN(float64(wf)) && math.IsNaN(float64(gf))) {
+						t.Fatalf("trial %d %s %v thread %d: float %v != %v\n%s",
+							trial, tc.mech.Name(), tier, i, gf, wf, f)
+					}
 				}
 			}
 		}
