@@ -119,16 +119,14 @@ func addLineSet(lines []uint64, la uint64) []uint64 {
 // coalescing judgement, Canonical on the elided path vs CheckAccess on
 // the checked path, ECElided/ECChecked accounting, per-lane fault
 // suppression) without any per-execution decoding.
-func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
+func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 	op := in.Op
 	space := op.MemSpace()
 	size := in.AccSize()
 	isStore := op.IsStore()
 	isAtom := op == isa.ATOMG || op == isa.ATOMS
-	addrReg := in.Src[0]
+	addr, data, dst := cc.reg(in.Src[0]), cc.reg(in.Src[1]), cc.dst(in)
 	off := sx32(in.Imm)
-	dataReg := in.Src[1]
-	dst := in.Dst
 	signExt := in.SignExtend() && size == 4
 	hintE := in.Hint.E
 	// Race-oracle access class, resolved at compile time; whether the
@@ -143,7 +141,7 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
 	}
 
 	return func(e *engine, w *fwarp, active uint32) uint32 {
-		exec := g(w, active)
+		exec := g.exec(w, active)
 		e.count(exec)
 		if exec != 0 {
 			e.memInstrs[op]++
@@ -178,14 +176,10 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
 			Store: isStore, Cycle: e.blockBase + w.vtime,
 		}
 
-		rf, nr := w.rf, w.nregs
+		ar, vr, dr := w.row(addr), w.row(data), w.row(dst)
 		for m := exec; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			regs := rf[lane*nr : lane*nr+nr]
-			raw := off
-			if addrReg != isa.RZ {
-				raw += regs[addrReg]
-			}
+			raw := ar[lane] + off
 			// Coalescing is judged on raw (possibly tagged) pointer lines,
 			// exactly as in the cycle simulator's LSU.
 			rawLine := raw >> lineShift
@@ -227,28 +221,16 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
 			case isa.SpaceGlobal, isa.SpaceShared:
 				if isAtom {
 					old := pw.load(eff, size)
-					add := uint64(0)
-					if dataReg != isa.RZ {
-						add = regs[dataReg]
-					}
-					pw.store(eff, uint64(uint32(int32(old)+int32(add))), size)
-					if dst != isa.RZ {
-						regs[dst] = old
-					}
+					pw.store(eff, uint64(uint32(int32(old)+int32(vr[lane]))), size)
+					dr[lane] = old
 				} else if isStore {
-					val := uint64(0)
-					if dataReg != isa.RZ {
-						val = regs[dataReg]
-					}
-					pw.store(eff, val, size)
+					pw.store(eff, vr[lane], size)
 				} else {
 					v := pw.load(eff, size)
-					if dst != isa.RZ {
-						if signExt {
-							v = sx32(int32(uint32(v)))
-						}
-						regs[dst] = v
+					if signExt {
+						v = sx32(int32(uint32(v)))
 					}
+					dr[lane] = v
 				}
 			case isa.SpaceLocal:
 				lm := w.locals[lane]
@@ -257,19 +239,13 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
 					w.locals[lane] = lm
 				}
 				if isStore {
-					val := uint64(0)
-					if dataReg != isa.RZ {
-						val = regs[dataReg]
-					}
-					lm.Write(eff, val, int(size))
+					lm.Write(eff, vr[lane], int(size))
 				} else {
 					v := lm.Read(eff, int(size))
-					if dst != isa.RZ {
-						if signExt {
-							v = sx32(int32(uint32(v)))
-						}
-						regs[dst] = v
+					if signExt {
+						v = sx32(int32(uint32(v)))
 					}
+					dr[lane] = v
 				}
 			}
 
@@ -307,29 +283,24 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guardFn) opFn {
 // cycle simulator's per-lane heap semantics: allocator errors abort the
 // launch, free-of-invalid faults are recorded per lane, and tagging is
 // skipped when MALLOC's destination is RZ.
-func (cc *compiler) heapClosure(in *isa.Instr, pc int, g guardFn) opFn {
+func (cc *compiler) heapClosure(in *isa.Instr, pc int, g guard) opFn {
 	op := in.Op
 	isMalloc := op == isa.MALLOC
-	srcReg := in.Src[0]
-	dst := in.Dst
+	src, tag, dst := cc.reg(in.Src[0]), in.Dst != isa.RZ, cc.dst(in)
 
 	return func(e *engine, w *fwarp, active uint32) uint32 {
-		exec := g(w, active)
+		exec := g.exec(w, active)
 		e.count(exec)
 		if exec != 0 {
 			e.memInstrs[op]++
 		}
 		w.sinceProg = 0
 		lanes := uint64(0)
-		rf, nr := w.rf, w.nregs
+		sr, dr := w.row(src), w.row(dst)
 		for m := exec; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
 			lanes++
-			regs := rf[lane*nr : lane*nr+nr]
-			val := uint64(0)
-			if srcReg != isa.RZ {
-				val = regs[srcReg]
-			}
+			val := sr[lane]
 			if isMalloc {
 				size := val
 				if int64(size) < 0 {
@@ -341,13 +312,13 @@ func (cc *compiler) heapClosure(in *isa.Instr, pc int, g guardFn) opFn {
 					e.fail(fmt.Errorf("fastsim: %s: %w", e.c.prog.Name, err))
 					return exec
 				}
-				if dst != isa.RZ {
+				if tag {
 					tagged, err := e.mech.TagAlloc(b, isa.SpaceHeap)
 					if err != nil {
 						e.fail(fmt.Errorf("fastsim: %s: %w", e.c.prog.Name, err))
 						return exec
 					}
-					regs[dst] = tagged
+					dr[lane] = tagged
 				}
 			} else { // FREE
 				addr := e.mech.UntagFree(val, isa.SpaceHeap)

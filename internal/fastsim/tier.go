@@ -2,10 +2,11 @@
 // from isa.Program to basic-block-level Go closures plus a functional
 // warp-level engine. Each instruction is decoded exactly once, at
 // compile time — operand routing (register vs immediate form, RZ
-// hardwiring, 32- vs 64-bit narrowing) is specialised via the ISA's
-// SrcRegs/ImmSrcIndex/WritesDst tables, and the extent-check predicate
-// is hoisted out of the access path using the E/A/S microcode hint bits
-// (bits 29/28/27): an E-hinted access compiles to the elided
+// hardwiring) resolves every operand to a row of the register-major
+// warp register file via the ISA's ImmSrcIndex/WritesDst tables, so an
+// ALU instruction runs as one loop over 32 lanes — and the extent-check
+// predicate is hoisted out of the access path using the E/A/S microcode
+// hint bits (bits 29/28/27): an E-hinted access compiles to the elided
 // (canonicalise-only) closure, an A-hinted integer op to the
 // OCU-checked closure, and everything else to the plain closure.
 //
