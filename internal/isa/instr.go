@@ -274,6 +274,11 @@ func (in *Instr) Validate() error {
 		if sz != 1 && sz != 2 && sz != 4 && sz != 8 {
 			return fmt.Errorf("isa: %s: unsupported access size %d", in.Op, sz)
 		}
+		// Both execution tiers add atomics in 32 bits; any other width
+		// would store a truncated sum.
+		if (in.Op == ATOMG || in.Op == ATOMS) && sz != 4 {
+			return fmt.Errorf("isa: %s: atomic access size %d, only 4 is supported", in.Op, sz)
+		}
 	}
 	if in.Hint.A && !in.Op.IsInt() {
 		return fmt.Errorf("isa: %s: activation hint on non-integer instruction", in.Op)

@@ -85,10 +85,23 @@ func TestInstrValidate(t *testing.T) {
 		{Op: FADD, Hint: Hint{A: true}, Pred: PT},
 		{Op: IADD, Aux: 32, Pred: PT},
 		{Op: SETP, Dst: Reg(PT), Pred: PT}, // PT is hardwired true
+		// Atomics add in 32 bits: every other width is rejected.
+		{Op: ATOMG, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 0, Pred: PT},
+		{Op: ATOMG, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 1, Pred: PT},
+		{Op: ATOMG, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 3, Pred: PT},
+		{Op: ATOMS, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 0, Pred: PT},
+		{Op: ATOMS, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 1, Pred: PT},
+		{Op: ATOMS, Dst: RZ, Src: [3]Reg{2, 3, RZ}, Aux: 3, Pred: PT},
 	}
 	for i, in := range bad {
 		if err := in.Validate(); err == nil {
 			t.Errorf("bad[%d] accepted: %+v", i, in)
+		}
+	}
+	for _, op := range []Opcode{ATOMG, ATOMS} {
+		in := Instr{Op: op, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 2, Pred: PT}
+		if err := in.Validate(); err != nil {
+			t.Errorf("4-byte %s rejected: %v", op, err)
 		}
 	}
 }
