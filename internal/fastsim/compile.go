@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"lmi/internal/isa"
+	"lmi/internal/mem"
 )
 
 // sx32 sign-extends a 32-bit value into the 64-bit register convention
@@ -357,11 +358,11 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 				// watchdog.
 				e.memInstrs[isa.LDC]++
 			}
-			cw := pageWin{as: e.cbank}
+			cw := mem.NewPageWin(e.cbank)
 			ar, dr := w.row(a), w.row(d)
 			for m := exec; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
-				dr[lane] = cw.load(ar[lane]+off, size)
+				dr[lane] = cw.Load(ar[lane]+off, size)
 			}
 			return exec
 		}, nil

@@ -1,7 +1,6 @@
 package fastsim
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -11,81 +10,6 @@ import (
 	"lmi/internal/mem"
 	"lmi/internal/sim"
 )
-
-// pageWin caches one AddrSpace page window across the lanes of a single
-// warp memory instruction: consecutive lanes overwhelmingly touch the
-// same page, so the per-access page-map lookup is amortised to one per
-// page transition. The cache lives only for one closure invocation —
-// the engine is single-threaded within a launch, and nothing else
-// mutates the address space between the lanes of one instruction (the
-// straddle fallback in store is the lone exception, handled by
-// invalidation).
-type pageWin struct {
-	as   *mem.AddrSpace
-	base uint64 // page base address of the cached window
-	win  []byte // nil when the page is unmapped (loads read zero)
-	ok   bool
-}
-
-// load mirrors AddrSpace.Read for in-page accesses via the cached
-// window, falling back to Read for page-straddling ones.
-func (pw *pageWin) load(addr, size uint64) uint64 {
-	base := addr &^ uint64(mem.PageWindowSize-1)
-	off := addr - base
-	if off+size <= mem.PageWindowSize {
-		if !pw.ok || base != pw.base {
-			pw.win = pw.as.PageWindow(base, false)
-			pw.base, pw.ok = base, true
-		}
-		if pw.win == nil {
-			return 0
-		}
-		w := pw.win[off:]
-		switch size {
-		case 1:
-			return uint64(w[0])
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(w))
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(w))
-		case 8:
-			return binary.LittleEndian.Uint64(w)
-		}
-	}
-	return pw.as.Read(addr, int(size))
-}
-
-// store mirrors AddrSpace.Write likewise; a nil cached window is
-// refetched with allocation since stores materialise pages.
-func (pw *pageWin) store(addr, val, size uint64) {
-	base := addr &^ uint64(mem.PageWindowSize-1)
-	off := addr - base
-	if off+size <= mem.PageWindowSize {
-		if !pw.ok || base != pw.base || pw.win == nil {
-			pw.win = pw.as.PageWindow(base, true)
-			pw.base, pw.ok = base, true
-		}
-		w := pw.win[off:]
-		switch size {
-		case 1:
-			w[0] = byte(val)
-			return
-		case 2:
-			binary.LittleEndian.PutUint16(w, uint16(val))
-			return
-		case 4:
-			binary.LittleEndian.PutUint32(w, uint32(val))
-			return
-		case 8:
-			binary.LittleEndian.PutUint64(w, val)
-			return
-		}
-	}
-	// Straddling store: the slow path may materialise the cached page
-	// behind the window cache, so drop the cache.
-	pw.as.Write(addr, val, int(size))
-	pw.ok = false
-}
 
 // countEC folds a warp memory instruction's per-lane extent-check
 // count into the launch statistics: every lane of an E-hinted site is
@@ -160,13 +84,13 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 			haveRaw     bool
 			extraSum    uint64
 			ecCount     uint64
-			pw          pageWin
+			pw          mem.PageWin
 		)
 		switch space {
 		case isa.SpaceGlobal:
-			pw.as = e.global
+			pw = mem.NewPageWin(e.global)
 		case isa.SpaceShared:
-			pw.as = w.shared
+			pw = mem.NewPageWin(w.shared)
 		}
 		trace := e.tracer != nil
 		// Everything about the access except the pointer and the
@@ -220,13 +144,13 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 			switch space {
 			case isa.SpaceGlobal, isa.SpaceShared:
 				if isAtom {
-					old := pw.load(eff, size)
-					pw.store(eff, uint64(uint32(int32(old)+int32(vr[lane]))), size)
+					old := pw.Load(eff, size)
+					pw.Store(eff, uint64(uint32(int32(old)+int32(vr[lane]))), size)
 					dr[lane] = old
 				} else if isStore {
-					pw.store(eff, vr[lane], size)
+					pw.Store(eff, vr[lane], size)
 				} else {
-					v := pw.load(eff, size)
+					v := pw.Load(eff, size)
 					if signExt {
 						v = sx32(int32(uint32(v)))
 					}

@@ -139,7 +139,7 @@ const PageWindowSize = pageSize
 // PageWindow returns the mapped backing bytes from addr to the end of
 // its page, or nil when the page is unallocated (unmapped bytes read as
 // zero; pass alloc to materialise the page for writing). It lets a
-// tight caller — the fast-path execution tier's load/store loop — batch
+// tight caller — PageWin, which both execution tiers' LSUs use — batch
 // the per-access page-map lookup across the many lanes of a warp that
 // touch the same page: accesses that fit inside the window go straight
 // to the returned slice with Read/Write's little-endian layout.

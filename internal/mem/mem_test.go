@@ -217,3 +217,66 @@ func TestPropertyCacheResidency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestPageWinUnmappedLoad(t *testing.T) {
+	m := NewAddrSpace()
+	pw := NewPageWin(m)
+	for _, size := range []uint64{1, 2, 4, 8} {
+		if got := pw.Load(0x2000+size, size); got != 0 {
+			t.Errorf("unmapped %d-byte load = %#x, want 0", size, got)
+		}
+	}
+	if m.Pages() != 0 {
+		t.Errorf("unmapped load materialised %d page(s)", m.Pages())
+	}
+}
+
+func TestPageWinStoreMaterialises(t *testing.T) {
+	m := NewAddrSpace()
+	pw := NewPageWin(m)
+	// A load caches the page as unmapped; the store must still land.
+	pw.Load(0x3008, 8)
+	pw.Store(0x3008, 0x1122334455667788, 8)
+	pw.Store(0x3010, 0xabcd, 2)
+	if m.Pages() != 1 {
+		t.Fatalf("store mapped %d page(s), want 1", m.Pages())
+	}
+	if got := m.Read(0x3008, 8); got != 0x1122334455667788 {
+		t.Errorf("Read after window store = %#x", got)
+	}
+	if got := pw.Load(0x300c, 4); got != 0x11223344 {
+		t.Errorf("window load after store = %#x", got)
+	}
+	if got := pw.Load(0x3010, 1); got != 0xcd {
+		t.Errorf("1-byte window load = %#x", got)
+	}
+}
+
+func TestPageWinStraddle(t *testing.T) {
+	m := NewAddrSpace()
+	pw := NewPageWin(m)
+	pw.Store(0x0ffd, 0x0102030405060708, 8) // bytes 0xffd..0x1004
+	if m.Pages() != 2 {
+		t.Fatalf("straddling store mapped %d page(s), want 2", m.Pages())
+	}
+	if got := pw.Load(0x0ffd, 8); got != 0x0102030405060708 {
+		t.Errorf("straddling window load = %#x", got)
+	}
+	if got, want := pw.Load(0x0ffe, 4), m.Read(0x0ffe, 4); got != want || got != 0x04050607 {
+		t.Errorf("straddling 4-byte load = %#x, Read = %#x", got, want)
+	}
+}
+
+func TestPageWinInvalidatedByStraddlingStore(t *testing.T) {
+	m := NewAddrSpace()
+	pw := NewPageWin(m)
+	// Cache page 0x1000 as unmapped, then materialise it behind the
+	// cache with a store straddling 0x0fff/0x1000.
+	if got := pw.Load(0x1000, 4); got != 0 {
+		t.Fatalf("unmapped load = %#x", got)
+	}
+	pw.Store(0x0ffe, 0xaabbccdd, 4)
+	if got := pw.Load(0x1000, 2); got != 0xaabb {
+		t.Errorf("load after straddling store = %#x, want 0xaabb (stale window)", got)
+	}
+}
