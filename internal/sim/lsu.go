@@ -48,42 +48,70 @@ func (c *coalescer) add(la uint64) {
 	c.n++
 }
 
-// addAccess records the line(s) a size-byte access at phys touches.
-func (c *coalescer) addAccess(phys, size, lineSize uint64) {
-	la := phys / lineSize
+// addAccess records the line(s) a size-byte access at phys touches,
+// with lines of 1<<shift bytes.
+func (c *coalescer) addAccess(phys, size uint64, shift uint) {
+	la := phys >> shift
 	if !(c.havePrev && la == c.prev) {
 		c.add(la)
 	}
 	c.prev, c.havePrev = la, true
 	// An access straddling a line boundary touches the next line too.
-	if (phys%lineSize)+size > lineSize {
+	if phys&(1<<shift-1)+size > 1<<shift {
 		c.add(la + 1)
 	}
 }
 
 // memAccess executes one warp-level memory instruction: per-lane safety
 // checks (the EC site), functional access, coalescing, and latency.
+// Global and shared accesses go through one page window (mem.PageWin)
+// for the whole instruction.
 func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int) {
 	ls.progress()
 	cfg := &ls.dev.Cfg
 	space := in.Op.MemSpace()
 	size := in.AccSize()
 	isStore := in.Op.IsStore()
+	isAtom := in.Op == isa.ATOMG || in.Op == isa.ATOMS
+	signExt := in.SignExtend() && size == 4
+	shift := ls.lineShift
+	off := sx32(in.Imm)
 
 	var (
 		co          coalescer
 		prevRawLine uint64
 		haveRaw     bool
 		extraSum    uint64
+		pw          mem.PageWin
 	)
+	// race is the block's race-oracle shadow for a shared access (nil
+	// otherwise or with the oracle off).
+	var race *BlockShadow
+	raceKind := RaceRead
+	switch space {
+	case isa.SpaceGlobal:
+		pw = mem.NewPageWin(ls.dev.Global)
+	case isa.SpaceShared:
+		pw = mem.NewPageWin(w.block.shared)
+		race = w.block.race
+		if isAtom {
+			raceKind = RaceAtomic
+		} else if isStore {
+			raceKind = RaceWrite
+		}
+	}
+	ar, vr, dr := ls.row(w, in.Src[0]), ls.row(w, in.Src[1]), &ls.res
+	if in.Dst != isa.RZ {
+		dr = ls.row(w, in.Dst)
+	}
 	for m := exec; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		raw := w.src(lane, in.Src[0]) + sx32(in.Imm)
+		raw := ar[lane] + off
 
 		// Coalescing is judged on raw (possibly tagged) pointer lines:
 		// tag bits are constant within a buffer, so lanes falling in the
 		// same line compare equal regardless of the tagging scheme.
-		rawLine := raw / cfg.LineSize
+		rawLine := raw >> shift
 		coalesced := haveRaw && rawLine == prevRawLine
 		prevRawLine, haveRaw = rawLine, true
 		var eff uint64
@@ -118,45 +146,36 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 			ls.traceEv.Addrs = append(ls.traceEv.Addrs, eff)
 		}
 
-		// Functional access.
-		var as *mem.AddrSpace
+		if race != nil {
+			race.Record(pc, w.warpIdx*32+lane, raceKind, eff, size)
+		}
+
+		// Functional access; a load or atomic with an RZ destination
+		// writes the scratch row.
 		phys := eff
-		switch space {
-		case isa.SpaceGlobal:
-			as = ls.dev.Global
-		case isa.SpaceShared:
-			as = w.block.shared
-			if w.block.race != nil {
-				kind := RaceRead
-				if in.Op == isa.ATOMS {
-					kind = RaceAtomic
-				} else if isStore {
-					kind = RaceWrite
-				}
-				w.block.race.Record(pc, w.warpIdx*32+lane, kind, eff, uint64(size))
+		switch {
+		case space == isa.SpaceLocal:
+			lm := w.locals[lane]
+			if lm == nil {
+				lm = mem.NewAddrSpace()
+				w.locals[lane] = lm
 			}
-		case isa.SpaceLocal:
-			as = w.locals[lane]
-			if as == nil {
-				as = mem.NewAddrSpace()
-				w.locals[lane] = as
+			if isStore {
+				lm.Write(eff, vr[lane], int(size))
+			} else {
+				dr[lane] = loadValue(lm.Read(eff, int(size)), signExt)
 			}
 			phys = localPhys(w.globalID, lane, eff)
-		}
-		switch {
-		case in.Op == isa.ATOMG || in.Op == isa.ATOMS:
-			old := as.Read(eff, int(size))
-			add := w.src(lane, in.Src[1])
-			as.Write(eff, uint64(uint32(int32(old)+int32(add))), int(size))
-			if in.Dst != isa.RZ {
-				w.rf[lane*w.nregs+int(in.Dst)] = old
-			}
+		case isAtom:
+			old := pw.Load(eff, size)
+			pw.Store(eff, uint64(uint32(int32(old)+int32(vr[lane]))), size)
+			dr[lane] = old
 		case isStore:
-			as.Write(eff, w.src(lane, in.Src[1]), int(size))
+			pw.Store(eff, vr[lane], size)
 		default:
-			w.loadInto(lane, in, as.Read(eff, int(size)))
+			dr[lane] = loadValue(pw.Load(eff, size), signExt)
 		}
-		co.addAccess(phys, size, cfg.LineSize)
+		co.addAccess(phys, size, shift)
 	}
 
 	// Timing: serialize one transaction per cycle at the LSU; each
@@ -172,7 +191,7 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	default: // global and local traverse L1/L2/DRAM
 		for i, la := range lineAddrs {
 			var lat uint64
-			addr := la * cfg.LineSize
+			addr := la << shift
 			if sm.l1.Access(addr) {
 				lat = cfg.L1Latency
 			} else if ls.l2.Access(addr) {
@@ -195,16 +214,13 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	}
 }
 
-// loadInto writes a loaded value into a lane register, applying the
-// sign-extension flag.
-func (w *warp) loadInto(lane int, in *isa.Instr, v uint64) {
-	if in.Dst == isa.RZ {
-		return
+// loadValue applies a load's sign-extension flag (32-bit loads only) to
+// the loaded value.
+func loadValue(v uint64, signExt bool) uint64 {
+	if signExt {
+		return sx32(int32(uint32(v)))
 	}
-	if in.SignExtend() && in.AccSize() == 4 {
-		v = sx32(int32(uint32(v)))
-	}
-	w.rf[lane*w.nregs+int(in.Dst)] = v
+	return v
 }
 
 // heapOp executes device malloc/free for each active lane (§V-B "Heap
@@ -214,10 +230,11 @@ func (ls *launch) heapOp(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int)
 	ls.progress()
 	cfg := &ls.dev.Cfg
 	lanes := uint64(0)
+	src := ls.row(w, in.Src[0])
 	for m := exec; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		lanes++
-		val := w.src(lane, in.Src[0])
+		val := src[lane]
 		if in.Op == isa.MALLOC {
 			size := val
 			if int64(size) < 0 {
@@ -238,7 +255,7 @@ func (ls *launch) heapOp(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int)
 					ls.halted = true
 					return
 				}
-				w.rf[lane*w.nregs+int(in.Dst)] = tagged
+				ls.row(w, in.Dst)[lane] = tagged
 			}
 		} else { // FREE
 			addr := ls.dev.Mech.UntagFree(val, isa.SpaceHeap)
