@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint analyze race-oracle peval check check-short bench serve soak fleet-soak fast bundle
+.PHONY: build test race vet lint analyze race-oracle peval check check-short bench serve soak fleet-soak fast bundle profile
 
 build:
 	$(GO) build ./...
@@ -99,14 +99,14 @@ bundle:
 		-pub $$(echo "$$out" | awk '$$1 == "signer" { print $$2 }')
 
 # The fast-path tier gate: the full workload differential corpus, the
-# operand-form table and the chaos campaign replayed through both
-# execution tiers (the compiled tier's functional projection and memory
-# bytes must be bit-identical to the cycle simulator), the random-kernel
-# fuzz against the IR interpreter on both tiers, then the whole bench
-# sweep on the compiled tier — nonzero exit on any divergence or
-# experiment failure.
+# operand-form tables (ALU and memory) and the chaos campaign replayed
+# through both execution tiers (the compiled tier's functional
+# projection and memory bytes must be bit-identical to the cycle
+# simulator), the random-kernel fuzz against the IR interpreter on both
+# tiers, then the whole bench sweep on the compiled tier — nonzero exit
+# on any divergence or experiment failure.
 fast:
-	$(GO) test -run 'TestDifferentialWorkloadCorpus|TestCompiledOperandForms' ./internal/fastsim/
+	$(GO) test -run 'TestDifferentialWorkloadCorpus|TestCompiledOperandForms|TestMemoryOperandForms' ./internal/fastsim/
 	$(GO) test -run 'TestDifferentialFuzz' ./internal/sim/
 	$(GO) test -run 'TestTierDifferentialChaosCorpus' ./internal/chaos/
 	$(GO) run ./cmd/lmi-bench -all -tier compiled
@@ -115,3 +115,11 @@ fast:
 # trajectory points for the fig01/fig12/fig13 sweeps.
 bench:
 	LMI_BENCH_JSON=. $(GO) test -bench=. -benchmem . | tee bench_output.txt
+
+# CPU profile of the sequential Fig. 12 sweep on one execution tier
+# (TIER=cycle or TIER=compiled): writes cpu.pprof and prints its top 25
+# nodes. Read it further with: go tool pprof -top cpu.pprof
+TIER ?= cycle
+profile:
+	$(GO) run ./cmd/lmi-bench -fig 12 -jobs 1 -tier $(TIER) -cpuprofile cpu.pprof > /dev/null
+	$(GO) tool pprof -top -nodecount=25 cpu.pprof
