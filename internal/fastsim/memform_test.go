@@ -41,13 +41,24 @@ const (
 	memStraddle                        // lane 8 straddles a 4 KiB page boundary
 	memUnmapped                        // a page nothing wrote before
 	memUnmappedStraddle                // two such pages, lane 8 straddling
+	memUnit                            // base + tid*4 in a mapped page
+	memUnitCross                       // base + tid*4, lane 8 opening the next page
+	memUnitUnmapped                    // base + tid*4 in a page nothing wrote before
 )
 
 func (k memKind) String() string {
-	return [...]string{"aligned", "straddle", "unmapped", "unmapped-straddle"}[k]
+	return [...]string{"aligned", "straddle", "unmapped", "unmapped-straddle",
+		"unit", "unit-cross", "unit-unmapped"}[k]
 }
 
-func (k memKind) unmapped() bool { return k == memUnmapped || k == memUnmappedStraddle }
+func (k memKind) unmapped() bool {
+	return k == memUnmapped || k == memUnmappedStraddle || k == memUnitUnmapped
+}
+
+// unit reports whether the kind's lane addresses are unit-stride
+// (base + tid*4), the compiled tier's single-page fast path when the
+// access is 4 bytes wide.
+func (k memKind) unit() bool { return k >= memUnit }
 
 // memLoadOp is the plain load of a memory space.
 func memLoadOp(space isa.Space) isa.Opcode {
@@ -73,10 +84,13 @@ func memStoreOp(space isa.Space) isa.Opcode {
 
 // memKernel wraps one memory instruction under test. Each lane's
 // address is base + tid*8 (+4031 for the straddling kinds, which puts
-// lane 8 at the last byte of a page), where base is a page-aligned
+// lane 8 at the last byte of a page), or base + tid*4 for the
+// unit-stride kinds (+4064 for memUnitCross, which puts lane 8 at the
+// start of the next page), where base is a page-aligned
 // address inside in for global memory, 0 for shared, 0x10000 for
 // local, and an address nothing maps for the unmapped kinds. Mapped
-// shared and local addresses are first seeded with an 8-byte store.
+// shared and local addresses are first seeded with an 8-byte store (a
+// 4-byte one for the unit-stride kinds, whose lanes are 4 bytes apart).
 // Every case then loads the lane's bytes (on the unmapped kinds, the
 // load from an unmapped page that the instruction under test follows),
 // runs the instruction, reads the lane's bytes back, and stores the
@@ -123,14 +137,21 @@ func memKernel(name string, test isa.Instr, kind memKind) *isa.Program {
 		instrs = append(instrs, isa.Instr{Op: isa.MOV, Dst: 4, Src: rz, HasImm: true, Imm: 0x10000})
 	}
 	bias := int32(-memOff)
-	if kind == memStraddle || kind == memUnmappedStraddle {
+	switch kind {
+	case memStraddle, memUnmappedStraddle:
 		bias += 4096 - 1 - 8*8
+	case memUnitCross:
+		bias += 4096 - 4*8
+	}
+	stride, seed := int32(3), uint8(3) // log2 of the lane stride and the seed size
+	if kind.unit() {
+		stride, seed = 2, 2
 	}
 	instrs = append(instrs,
-		isa.Instr{Op: isa.SHL, Dst: memAddr, Src: r(0, isa.RZ), HasImm: true, Imm: 3, Aux: w64},
+		isa.Instr{Op: isa.SHL, Dst: memAddr, Src: r(0, isa.RZ), HasImm: true, Imm: stride, Aux: w64},
 		isa.Instr{Op: isa.IADD3, Dst: memAddr, Src: [3]isa.Reg{memAddr, 4, isa.RZ}, HasImm: true, Imm: bias, Aux: w64})
 	if !kind.unmapped() && space != isa.SpaceGlobal {
-		instrs = append(instrs, isa.Instr{Op: memStoreOp(space), Dst: isa.RZ, Src: r(memAddr, 5), Imm: memOff, Aux: 3})
+		instrs = append(instrs, isa.Instr{Op: memStoreOp(space), Dst: isa.RZ, Src: r(memAddr, 5), Imm: memOff, Aux: seed})
 	}
 	instrs = append(instrs, isa.Instr{Op: memLoadOp(space), Dst: memPreload, Src: r(memAddr, isa.RZ), Imm: memOff, Aux: size})
 	for i := range instrs {
@@ -169,12 +190,21 @@ type memCase struct {
 // them), loads and atomics with and without the sign-extension flag and
 // with a register or RZ destination, each under an unconditional guard,
 // a guard true on some lanes and one true on none, at aligned,
-// page-straddling, unmapped and unmapped-straddling addresses.
+// page-straddling, unmapped and unmapped-straddling addresses. The
+// 4-byte forms also run at unit-stride addresses: inside one mapped
+// page, across a page boundary and inside one unmapped page. (Wider
+// unit-stride accesses would overlap the neighbouring lane's bytes,
+// and the two warps of a block order such writes differently on the
+// two tiers.)
 func memCases() []memCase {
 	var out []memCase
 	add := func(name string, in isa.Instr) {
+		kinds := memUnmappedStraddle
+		if in.AccSize() == 4 {
+			kinds = memUnitUnmapped
+		}
 		for _, g := range []isa.PredReg{isa.PT, 0, 1} {
-			for k := memAligned; k <= memUnmappedStraddle; k++ {
+			for k := memAligned; k <= kinds; k++ {
 				c := in
 				c.Pred = g
 				out = append(out, memCase{fmt.Sprintf("%s/%s/%s", name, g, k), c, k})
