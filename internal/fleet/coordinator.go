@@ -521,12 +521,12 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.Request) (serve.Resu
 
 // ShutdownReport is the JSON document flushed on graceful drain.
 type ShutdownReport struct {
-	Uptime      time.Duration             `json:"uptime_ns"`
-	Stats       Stats                     `json:"stats"`
-	Shards      []ShardSummary            `json:"shards"`
+	Uptime      time.Duration                   `json:"uptime_ns"`
+	Stats       Stats                           `json:"stats"`
+	Shards      []ShardSummary                  `json:"shards"`
 	Breakers    []map[string]serve.BreakerState `json:"breakers"`
-	Transitions []ShardTransition         `json:"breaker_transitions"`
-	Decisions   SinkStats                 `json:"decisions"`
+	Transitions []ShardTransition               `json:"breaker_transitions"`
+	Decisions   SinkStats                       `json:"decisions"`
 }
 
 // Shutdown drains gracefully: stop accepting, let every alive shard

@@ -31,14 +31,14 @@ import (
 type ekind uint8
 
 const (
-	ekBot  ekind = iota // unreached
-	ekTop               // no information
-	ekNum               // numeric value bounded by iv/sym
-	ekAddr              // untagged address at byte offset iv from the stack top
-	ekExt               // extent material (SHL #59 result)
-	ekParam             // tagged pointer iv bytes past parameter #site's base
-	ekStack             // tagged pointer iv bytes past stack buffer #site's base
-	ekHeap              // tagged pointer iv bytes past the MALLOC at index site
+	ekBot   ekind = iota // unreached
+	ekTop                // no information
+	ekNum                // numeric value bounded by iv/sym
+	ekAddr               // untagged address at byte offset iv from the stack top
+	ekExt                // extent material (SHL #59 result)
+	ekParam              // tagged pointer iv bytes past parameter #site's base
+	ekStack              // tagged pointer iv bytes past stack buffer #site's base
+	ekHeap               // tagged pointer iv bytes past the MALLOC at index site
 )
 
 // String names the provenance for diagnostics.
@@ -80,13 +80,13 @@ const (
 	ePosInf = math.MaxInt64
 )
 
-func ivFull() bounds.Interval       { return bounds.Interval{Lo: eNegInf, Hi: ePosInf} }
-func ivI32() bounds.Interval        { return bounds.Interval{Lo: math.MinInt32, Hi: math.MaxInt32} }
+func ivFull() bounds.Interval         { return bounds.Interval{Lo: eNegInf, Hi: ePosInf} }
+func ivI32() bounds.Interval          { return bounds.Interval{Lo: math.MinInt32, Hi: math.MaxInt32} }
 func ivConst(c int64) bounds.Interval { return bounds.Interval{Lo: c, Hi: c} }
 
-func evTop() eVal              { return eVal{kind: ekTop, iv: ivFull()} }
+func evTop() eVal                   { return eVal{kind: ekTop, iv: ivFull()} }
 func evNum(iv bounds.Interval) eVal { return eVal{kind: ekNum, iv: iv} }
-func evConst(c int64) eVal     { return eVal{kind: ekNum, iv: ivConst(c)} }
+func evConst(c int64) eVal          { return eVal{kind: ekNum, iv: ivConst(c)} }
 
 // symValid mirrors the SymUB domain invariant (A >= 0, D a positive
 // power of two) without reaching into the bounds package's internals.

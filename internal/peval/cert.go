@@ -215,8 +215,8 @@ func ApplyTransform(p *isa.Program, prov []int, t Transform) (*isa.Program, []in
 			}
 			*in = isa.Instr{
 				Op: isa.MOV, Dst: in.Dst,
-				Src:  [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ},
-				Imm:  int32(t.Imm), HasImm: true,
+				Src: [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ},
+				Imm: int32(t.Imm), HasImm: true,
 				Pred: in.Pred, PredNeg: in.PredNeg, Ctl: in.Ctl,
 			}
 		case TFoldImm:

@@ -15,6 +15,16 @@ if [ "${1:-}" = "-short" ]; then
     short="-short"
 fi
 
+# Formatting gate: every Go file outside hidden directories (build and
+# benchmark scratch) must be gofmt-clean.
+echo "== gofmt -l"
+unformatted=$(find . -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "check: FAIL: files not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
