@@ -116,10 +116,12 @@ fast:
 bench:
 	LMI_BENCH_JSON=. $(GO) test -bench=. -benchmem . | tee bench_output.txt
 
-# CPU profile of the sequential Fig. 12 sweep on one execution tier
-# (TIER=cycle or TIER=compiled): writes cpu.pprof and prints its top 25
-# nodes. Read it further with: go tool pprof -top cpu.pprof
+# CPU and heap profiles of the sequential Fig. 12 sweep on one execution
+# tier (TIER=cycle or TIER=compiled): writes cpu.pprof and mem.pprof and
+# prints the top 25 nodes of the CPU profile and of the bytes allocated.
+# Read them further with: go tool pprof -top cpu.pprof
 TIER ?= cycle
 profile:
-	$(GO) run ./cmd/lmi-bench -fig 12 -jobs 1 -tier $(TIER) -cpuprofile cpu.pprof > /dev/null
+	$(GO) run ./cmd/lmi-bench -fig 12 -jobs 1 -tier $(TIER) -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=25 cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 mem.pprof

@@ -13,6 +13,7 @@
 //	lmi-bench -all -json out.json  # runner reports as a JSON trajectory point
 //	lmi-bench -all -tier compiled  # run sweeps on the compiled fast-path tier
 //	lmi-bench -fig 12 -jobs 1 -cpuprofile cpu.pprof  # CPU profile of the sweep
+//	lmi-bench -fig 12 -jobs 1 -memprofile mem.pprof  # heap profile of the sweep
 //
 // -tier=compiled executes every launch on internal/fastsim's compiled
 // functional tier: instruction/check counters and fault verdicts are
@@ -29,7 +30,9 @@
 // -cpuprofile writes a runtime/pprof CPU profile covering every selected
 // experiment (read it with `go tool pprof`); it is how the cycle
 // simulator's time is attributed to scheduling, issue, LSU, cache and
-// mechanism code.
+// mechanism code. -memprofile writes a heap profile once the selected
+// experiments finish; its alloc_space samples attribute every byte they
+// allocated (`go tool pprof -sample_index=alloc_space`).
 //
 // A failing experiment no longer aborts the run: remaining experiments
 // still execute, the failures are summarised on stderr, and the exit
@@ -40,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 
 	"lmi/internal/cliutil"
@@ -69,6 +73,7 @@ func main() {
 	tierName := flag.String("tier", fastsim.TierCycle.String(),
 		"execution tier: cycle (timing reference) or compiled (fast functional)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file once the selected experiments finish")
 	flag.Parse()
 	if err := cliutil.Validate("lmi-bench", flag.CommandLine,
 		cliutil.Check{Name: "sms", Value: *sms},
@@ -283,6 +288,12 @@ func main() {
 			failed = append(failed, "cpu profile")
 		}
 	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "lmi-bench: heap profile: %v\n", err)
+			failed = append(failed, "heap profile")
+		}
+	}
 	if !any {
 		flag.Usage()
 		os.Exit(2)
@@ -314,4 +325,19 @@ func startCPUProfile(path string) (*os.File, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// writeHeapProfile writes a heap profile to a new file at path, after a
+// garbage collection so that its in-use figures are current.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
