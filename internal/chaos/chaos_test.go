@@ -254,7 +254,7 @@ type panicCheckMech struct {
 	sim.Mechanism
 }
 
-func (m panicCheckMech) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
+func (m panicCheckMech) CheckAccess(*sim.WarpAccess, uint32) (uint64, int, *core.Fault) {
 	panic("chaos test: mechanism bug at EC hook")
 }
 

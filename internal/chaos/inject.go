@@ -369,8 +369,10 @@ func (o *ocuMisdecode) CheckPointerOp(in, out uint64) (uint64, uint64) {
 	return o.Mechanism.CheckPointerOp(in, out)
 }
 
-// CheckAccess implements sim.Mechanism, recording the current cycle.
-func (o *ocuMisdecode) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
+// CheckAccess implements sim.Mechanism, recording the current cycle. It
+// must be overridden, not promoted from the embedded mechanism, or the
+// cycle stamps would never reach lastCycle.
+func (o *ocuMisdecode) CheckAccess(a *sim.WarpAccess, lanes uint32) (uint64, int, *core.Fault) {
 	o.lastCycle = a.Cycle
-	return o.Mechanism.CheckAccess(a)
+	return o.Mechanism.CheckAccess(a, lanes)
 }

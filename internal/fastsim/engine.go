@@ -34,10 +34,11 @@ type fwarp struct {
 	// register rows come the zero row RZ reads, the discard row RZ
 	// writes go to, and one broadcast row per distinct immediate
 	// (Compiled.consts); compiled closures address every operand by row.
-	rf     []uint64
-	preds  [8]uint32 // predicate files as lane bitmasks; preds[PT] = launchMask
+	rf    []uint64
+	preds [8]uint32 // predicate files as lane bitmasks; preds[PT] = launchMask
+	// locals holds each lane's local memory, created on the lane's first
+	// local access and reset, not dropped, for every block.
 	locals []*mem.AddrSpace
-	shared *mem.AddrSpace // the block's shared memory
 
 	stack      []simtEntry
 	pendingSSY int32
@@ -60,12 +61,20 @@ type fwarp struct {
 	// sinceProg counts instructions since the last observable-progress
 	// event (memory, heap, barrier, exit) for the no-progress watchdog.
 	sinceProg uint64
-
-	lineBuf []uint64 // scratch for per-access line dedup (timing estimate)
 }
 
 // row returns row r of the warp's register file.
 func (w *fwarp) row(r int) *[32]uint64 { return (*[32]uint64)(w.rf[r*32 : r*32+32]) }
+
+// local returns a lane's local memory, creating it on first use.
+func (w *fwarp) local(lane int) *mem.AddrSpace {
+	lm := w.locals[lane]
+	if lm == nil {
+		lm = mem.NewAddrSpace()
+		w.locals[lane] = lm
+	}
+	return lm
+}
 
 // syncTop pops reconverged or fully-exited stack entries and reports
 // whether the warp still has work (mirrors the cycle simulator).
@@ -97,6 +106,7 @@ type engine struct {
 	cfg      *sim.Config
 	mech     sim.Mechanism
 	global   *mem.AddrSpace
+	shared   *mem.AddrSpace // the current block's, reset for every block
 	heap     *alloc.DeviceHeap
 	cbank    *mem.AddrSpace
 	tracer   sim.Tracer
@@ -124,6 +134,14 @@ type engine struct {
 	// array-backed so the hot path avoids a map update per warp memory
 	// instruction; it is folded into stats.MemInstrs once at launch end.
 	memInstrs [256]uint64
+
+	// acc is the warp memory instruction handed to the mechanism's LSU
+	// hook, lines the transaction-line set of its timing estimate, and
+	// lineShift log2 of the cache line size (validated as a power of two
+	// at device creation).
+	acc       sim.WarpAccess
+	lines     [64]uint64
+	lineShift uint
 
 	// blockBase is the current block's SM-timeline offset; smTime
 	// accumulates per-SM block time for the Cycles estimate.
@@ -196,6 +214,7 @@ func (c *Compiled) Launch2DCtx(ctx context.Context, dev *sim.Device, gridX, grid
 		cfg:       &dev.Cfg,
 		mech:      dev.Mech,
 		global:    dev.Global,
+		shared:    mem.NewAddrSpace(),
 		heap:      dev.Heap(),
 		cbank:     cbank,
 		tracer:    dev.Tracer,
@@ -205,6 +224,7 @@ func (c *Compiled) Launch2DCtx(ctx context.Context, dev *sim.Device, gridX, grid
 		bdimX:     blockX,
 		noProg:    dev.Cfg.Watchdog.NoProgressCycles,
 		maxInstrs: dev.Cfg.MaxCycles,
+		lineShift: uint(bits.TrailingZeros64(dev.Cfg.LineSize)),
 		smTime:    make([]uint64, dev.Cfg.NumSMs),
 	}
 	e.stats.MemInstrs = make(map[isa.Opcode]uint64)
@@ -265,7 +285,7 @@ func (e *engine) runBlock(ctaid int) {
 	e.ctaid = ctaid
 	e.smID = ctaid % e.cfg.NumSMs
 	e.blockBase = e.smTime[e.smID]
-	shared := mem.NewAddrSpace()
+	e.shared.Reset()
 	if e.race != nil {
 		e.shadow = e.race.NewBlockShadow()
 	}
@@ -277,13 +297,15 @@ func (e *engine) runBlock(ctaid int) {
 			launchMask: w.launchMask,
 			rf:         w.rf,
 			locals:     w.locals,
-			shared:     shared,
 			stack:      append(w.stack[:0], simtEntry{pc: 0, rpc: -1, mask: w.launchMask}),
 			pendingSSY: -1,
-			lineBuf:    w.lineBuf,
 		}
 		clear(w.rf[:e.c.nregs*32])
-		clear(w.locals)
+		for _, lm := range w.locals {
+			if lm != nil {
+				lm.Reset()
+			}
+		}
 		w.preds[isa.PT] = w.launchMask
 	}
 
@@ -492,6 +514,14 @@ func (e *engine) recordFault(f *core.Fault, pc int, w *fwarp, lane int) {
 func (e *engine) trap(pc int, w *fwarp, lane int, code int32) {
 	e.recordFault(core.NewFault(core.FaultSpatial, 0, 0,
 		fmt.Sprintf("software bounds check trap (code %d)", code)), pc, w, lane)
+}
+
+// space returns global memory or the block's shared memory.
+func (e *engine) space(global bool) *mem.AddrSpace {
+	if global {
+		return e.global
+	}
+	return e.shared
 }
 
 // specialReg reads an S2R value for a lane. SRSMID reports the

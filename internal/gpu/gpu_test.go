@@ -195,7 +195,7 @@ func TestDims(t *testing.T) {
 // mid-launch — the runtime API must contain it as a typed error.
 type crashingMech struct{ sim.Baseline }
 
-func (crashingMech) CheckAccess(sim.Access) (uint64, uint64, *core.Fault) {
+func (crashingMech) CheckAccess(*sim.WarpAccess, uint32) (uint64, int, *core.Fault) {
 	panic("mechanism bug: CheckAccess")
 }
 

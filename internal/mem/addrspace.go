@@ -19,11 +19,14 @@ const (
 )
 
 // AddrSpace is a sparse, byte-addressable, little-endian memory. Unmapped
-// bytes read as zero; pages are allocated on first write. It is the
+// bytes read as zero; pages are mapped on first write. It is the
 // functional half of the memory model: timing is handled separately by
 // Cache and DRAM.
 type AddrSpace struct {
 	pages map[uint64]*[pageSize]byte
+	// free holds the page frames Reset unmapped; mapping a page reuses
+	// one, zeroed, before allocating a new one.
+	free []*[pageSize]byte
 }
 
 // NewAddrSpace returns an empty address space.
@@ -35,10 +38,28 @@ func (m *AddrSpace) page(addr uint64, alloc bool) *[pageSize]byte {
 	pn := addr >> pageShift
 	p := m.pages[pn]
 	if p == nil && alloc {
-		p = new([pageSize]byte)
+		if n := len(m.free); n > 0 {
+			p = m.free[n-1]
+			m.free = m.free[:n-1]
+			clear(p[:])
+		} else {
+			p = new([pageSize]byte)
+		}
 		m.pages[pn] = p
 	}
 	return p
+}
+
+// Reset unmaps every page, keeping the frames for reuse: afterwards the
+// space reads as zero everywhere, like a new one, but its next writes
+// map recycled frames instead of allocating. The simulators reset a
+// block's shared and local memory this way when the next block reuses
+// its slot.
+func (m *AddrSpace) Reset() {
+	for _, p := range m.pages {
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
 }
 
 // ReadBytes copies size bytes at addr into dst semantics, returning them

@@ -46,6 +46,47 @@ func TestAddrSpaceCrossPage(t *testing.T) {
 
 // TestAddrSpaceReadNoAlloc: Read never allocates, neither for an
 // unmapped page nor for a read that crosses a page boundary.
+// TestAddrSpaceReset: after Reset the space reads as a new one — zero
+// everywhere, no pages, no window — and the frames it recycles come
+// back zeroed whichever page maps them next.
+func TestAddrSpaceReset(t *testing.T) {
+	m := NewAddrSpace()
+	for i := uint64(0); i < 3; i++ {
+		m.WriteBytes(i*pageSize, bytes.Repeat([]byte{0xAB}, pageSize))
+	}
+	m.Reset()
+	if m.Pages() != 0 {
+		t.Fatalf("Pages() = %d after Reset", m.Pages())
+	}
+	for i := uint64(0); i < 3; i++ {
+		if got := m.Read(i*pageSize+8, 8); got != 0 {
+			t.Errorf("page %d reads %#x after Reset", i, got)
+		}
+		if w := m.PageWindow(i*pageSize, false); w != nil {
+			t.Errorf("page %d still has a window after Reset", i)
+		}
+	}
+	if len(m.free) != 3 {
+		t.Fatalf("%d frames kept, want 3", len(m.free))
+	}
+	// A store to a different page reuses a recycled frame: only the
+	// stored bytes are nonzero.
+	m.Write(0x7000+100, 0x1122, 2)
+	if len(m.free) != 2 {
+		t.Errorf("%d frames kept after one write, want 2 (frame not reused)", len(m.free))
+	}
+	got := m.ReadBytes(0x7000, pageSize)
+	want := make([]byte, pageSize)
+	want[100], want[101] = 0x22, 0x11
+	if !bytes.Equal(got, want) {
+		t.Error("reused frame does not read zero outside the stored bytes")
+	}
+	// A window materialised on a reused frame is zero too.
+	if w := m.PageWindow(0x9000, true); !bytes.Equal(w, make([]byte, pageSize)) {
+		t.Error("PageWindow on a reused frame is not zero")
+	}
+}
+
 func TestAddrSpaceReadNoAlloc(t *testing.T) {
 	m := NewAddrSpace()
 	m.Write(pageSize-4, 0x1122334455667788, 8)

@@ -1,6 +1,8 @@
 package safety
 
 import (
+	"math/bits"
+
 	"lmi/internal/alloc"
 	"lmi/internal/core"
 	"lmi/internal/isa"
@@ -55,8 +57,12 @@ func (b *Baggy) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
 
 // CheckAccess implements sim.Mechanism: the LSU strips the extent bits
 // (the addressing path must ignore the tag) but performs no check.
-func (b *Baggy) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
-	return core.Pointer(a.Ptr).Addr(), 0, nil
+func (b *Baggy) CheckAccess(a *sim.WarpAccess, lanes uint32) (uint64, int, *core.Fault) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		l := bits.TrailingZeros32(lanes)
+		a.Addr[l] = core.Pointer(a.Addr[l]).Addr()
+	}
+	return 0, -1, nil
 }
 
 // Reset implements sim.Mechanism.

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math/bits"
 	"sync"
 
 	"lmi/internal/alloc"
@@ -96,30 +97,31 @@ func (m *IMT) Canonical(val uint64) uint64 { return val & imtAddrMask }
 // verify arithmetic.
 func (m *IMT) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
 
-// CheckAccess implements sim.Mechanism: compare the pointer tag against
-// the sector's ECC tag. Untagged pointers (heap, local spill pointers)
-// pass unchecked; non-global spaces are unprotected.
-func (m *IMT) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
+// CheckAccess implements sim.Mechanism: compare each lane's pointer tag
+// against its sector's ECC tag. Untagged pointers (heap, local spill
+// pointers) pass unchecked; non-global spaces are unprotected.
+func (m *IMT) CheckAccess(a *sim.WarpAccess, lanes uint32) (uint64, int, *core.Fault) {
 	if a.Space != isa.SpaceGlobal {
-		return a.Ptr, 0, nil
-	}
-	tag := uint8((a.Ptr & imtTagMask) >> imtTagShift)
-	eff := a.Ptr & imtAddrMask
-	if tag == 0 {
-		return eff, 0, nil
+		return 0, -1, nil
 	}
 	m.mu.Lock()
-	m.Stats.Checks++
-	memTag := m.sectors[eff/imtSector]
-	if memTag != tag {
-		m.Stats.Mismatches++
+	defer m.mu.Unlock()
+	for ; lanes != 0; lanes &= lanes - 1 {
+		l := bits.TrailingZeros32(lanes)
+		ptr := a.Addr[l]
+		tag := uint8((ptr & imtTagMask) >> imtTagShift)
+		eff := ptr & imtAddrMask
+		if tag != 0 {
+			m.Stats.Checks++
+			if m.sectors[eff/imtSector] != tag {
+				m.Stats.Mismatches++
+				return 0, l, core.NewFault(core.FaultSpatial, core.Pointer(ptr), eff,
+					"imt: pointer/ECC tag mismatch")
+			}
+		}
+		a.Addr[l] = eff
 	}
-	m.mu.Unlock()
-	if memTag != tag {
-		return eff, 0, core.NewFault(core.FaultSpatial, core.Pointer(a.Ptr), eff,
-			"imt: pointer/ECC tag mismatch")
-	}
-	return eff, 0, nil
+	return 0, -1, nil
 }
 
 // Reset implements sim.Mechanism.

@@ -11,6 +11,8 @@
 package safety
 
 import (
+	"math/bits"
+
 	"lmi/internal/alloc"
 	"lmi/internal/core"
 	"lmi/internal/isa"
@@ -99,14 +101,19 @@ func (m *LMI) CheckPointerOp(in, out uint64) (uint64, uint64) {
 	return uint64(res), OCULatencyCycles
 }
 
-// CheckAccess implements sim.Mechanism: the EC check. The extent bits are
-// stripped to form the effective address; a zero extent faults.
-func (m *LMI) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
-	p := core.Pointer(a.Ptr)
-	if err := m.EC.CheckAccess(p, a.Size); err != nil {
-		return p.Addr(), 0, err.(*core.Fault)
+// CheckAccess implements sim.Mechanism: the EC check, lane by lane. The
+// extent bits are stripped to form the effective address; a zero extent
+// faults. The EC is per-lane hardware, so it charges no extra cycles.
+func (m *LMI) CheckAccess(a *sim.WarpAccess, lanes uint32) (uint64, int, *core.Fault) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		l := bits.TrailingZeros32(lanes)
+		p := core.Pointer(a.Addr[l])
+		if f := m.EC.CheckAccess(p, a.Size); f != nil {
+			return 0, l, f
+		}
+		a.Addr[l] = p.Addr()
 	}
-	return p.Addr(), 0, nil
+	return 0, -1, nil
 }
 
 // Reset implements sim.Mechanism. OCU/EC statistics accumulate across a

@@ -17,6 +17,90 @@ var (
 	_ sim.Mechanism = (*Baggy)(nil)
 )
 
+// access is one lane's access for checkLane.
+type access struct {
+	SM        int
+	Space     isa.Space
+	Ptr, Size uint64
+	Coalesced bool
+}
+
+// checkLane runs a mechanism's per-warp LSU hook on a warp access whose
+// only lane is lane 0 and returns that lane's effective address, the
+// extra cycles and the fault.
+func checkLane(m sim.Mechanism, a access) (uint64, uint64, *core.Fault) {
+	wa := sim.WarpAccess{SM: a.SM, Space: a.Space, Size: a.Size}
+	wa.Addr[0] = a.Ptr
+	if a.Coalesced {
+		wa.Coalesced = 1
+	}
+	extra, lane, fault := m.CheckAccess(&wa, 1)
+	if (fault == nil) != (lane == -1) {
+		panic("CheckAccess: the lane and the fault disagree")
+	}
+	return wa.Addr[0], extra, fault
+}
+
+// TestWarpHookStopsAtFirstFault: each mechanism's per-warp hook checks
+// the lanes it is given in ascending order, writes the passed lanes'
+// effective addresses, and returns at the first faulting lane, leaving
+// the lanes above it unchecked for the caller's next call.
+func TestWarpHookStopsAtFirstFault(t *testing.T) {
+	lmi := NewLMI()
+	gs := NewGPUShield()
+	imt := NewIMT()
+	blk := alloc.Block{Addr: alloc.GlobalBase, Requested: 1024, Reserved: 1024, Extent: 3}
+	for _, c := range []struct {
+		m   sim.Mechanism
+		bad func(ptr uint64) uint64 // turns a lane's good pointer into a faulting one
+	}{
+		{lmi, func(p uint64) uint64 { return uint64(core.Pointer(p).Invalidate()) }},
+		{gs, func(p uint64) uint64 { return p + 4096 }},
+		{imt, func(p uint64) uint64 { return p ^ 1<<(imtTagShift+3) }},
+	} {
+		val, err := c.m.TagAlloc(blk, isa.SpaceGlobal)
+		if err != nil {
+			t.Fatalf("%s: TagAlloc: %v", c.m.Name(), err)
+		}
+		wa := sim.WarpAccess{Space: isa.SpaceGlobal, Size: 4}
+		for l := range wa.Addr {
+			wa.Addr[l] = val + 4*uint64(l)
+		}
+		wa.Addr[5] = c.bad(wa.Addr[5])
+		wa.Addr[9] = c.bad(wa.Addr[9])
+		lanes := uint32(0xFFFF) &^ (1 << 2) // lanes 0-15 but 2
+		_, lane, fault := c.m.CheckAccess(&wa, lanes)
+		if lane != 5 || fault == nil {
+			t.Fatalf("%s: first call stopped at lane %d (fault %v), want 5", c.m.Name(), lane, fault)
+		}
+		for _, l := range []int{0, 1, 3, 4} {
+			if wa.Addr[l] != blk.Addr+4*uint64(l) {
+				t.Errorf("%s: lane %d address %#x not made effective", c.m.Name(), l, wa.Addr[l])
+			}
+		}
+		if wa.Addr[2] != val+8 || wa.Addr[6] != val+24 {
+			t.Errorf("%s: a lane outside the call or above the fault was rewritten", c.m.Name())
+		}
+		_, lane, fault = c.m.CheckAccess(&wa, lanes&^(1<<6-1))
+		if lane != 9 || fault == nil {
+			t.Fatalf("%s: second call stopped at lane %d (fault %v), want 9", c.m.Name(), lane, fault)
+		}
+		_, lane, fault = c.m.CheckAccess(&wa, lanes&^(1<<10-1))
+		if lane != -1 || fault != nil {
+			t.Fatalf("%s: third call returned lane %d fault %v, want -1 and nil", c.m.Name(), lane, fault)
+		}
+		if wa.Addr[15] != blk.Addr+60 {
+			t.Errorf("%s: lane 15 address %#x not made effective", c.m.Name(), wa.Addr[15])
+		}
+	}
+	if lmi.EC.Stats.Checks != 15 || lmi.EC.Stats.Faults != 2 {
+		t.Errorf("lmi EC stats %+v, want 15 checks and 2 faults", lmi.EC.Stats)
+	}
+	if imt.Stats.Checks != 15 || imt.Stats.Mismatches != 2 {
+		t.Errorf("imt stats %+v, want 15 checks and 2 mismatches", imt.Stats)
+	}
+}
+
 func TestLMITagUntagRoundTrip(t *testing.T) {
 	m := NewLMI()
 	b := alloc.Block{Addr: 0x1000_0000_0000 & ^uint64(1023), Requested: 900, Reserved: 1024, Extent: 3}
@@ -70,11 +154,11 @@ func TestLMICheckPointerOpDelaysAndClears(t *testing.T) {
 func TestLMICheckAccess(t *testing.T) {
 	m := NewLMI()
 	p, _ := m.Codec.Encode(0x40000, 1)
-	eff, extra, fault := m.CheckAccess(sim.Access{Ptr: uint64(p), Size: 4, Space: isa.SpaceGlobal})
+	eff, extra, fault := checkLane(m, access{Ptr: uint64(p), Size: 4, Space: isa.SpaceGlobal})
 	if fault != nil || eff != 0x40000 || extra != 0 {
 		t.Errorf("valid access: eff=%#x extra=%d fault=%v", eff, extra, fault)
 	}
-	_, _, fault = m.CheckAccess(sim.Access{Ptr: uint64(p.Invalidate()), Size: 4})
+	_, _, fault = checkLane(m, access{Ptr: uint64(p.Invalidate()), Size: 4})
 	if fault == nil {
 		t.Error("zero-extent access allowed")
 	}
@@ -91,17 +175,17 @@ func TestLMIWithTrackingScope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TagAlloc: %v", err)
 	}
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: val, Size: 4}); fault != nil {
+	if _, _, fault := checkLane(m, access{Ptr: val, Size: 4}); fault != nil {
 		t.Errorf("live tracked buffer faulted: %v", fault)
 	}
 	m.UntagFree(val, isa.SpaceGlobal)
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: val, Size: 4}); fault == nil {
+	if _, _, fault := checkLane(m, access{Ptr: val, Size: 4}); fault == nil {
 		t.Error("freed tracked buffer allowed")
 	}
 	// ...but stack-range pointers (not allocator-managed) are out of
 	// scope and never tabled.
 	sp, _ := m.Codec.Encode(alloc.StackTop-256, 1)
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: uint64(sp), Size: 4}); fault != nil {
+	if _, _, fault := checkLane(m, access{Ptr: uint64(sp), Size: 4}); fault != nil {
 		t.Errorf("out-of-scope stack pointer faulted: %v", fault)
 	}
 }
@@ -120,16 +204,16 @@ func TestGPUShieldTaggingAndBounds(t *testing.T) {
 		t.Error("Canonical must strip the ID")
 	}
 	// In-bounds access passes.
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: val + 1020, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
+	if _, _, fault := checkLane(g, access{Ptr: val + 1020, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
 		t.Errorf("in-bounds faulted: %v", fault)
 	}
 	// Out-of-bounds faults.
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: val + 1024, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
+	if _, _, fault := checkLane(g, access{Ptr: val + 1024, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
 		t.Error("per-buffer overflow missed")
 	}
 	// Freeing keeps the entry: stale access passes (no temporal safety).
 	g.UntagFree(val, isa.SpaceGlobal)
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: val, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
+	if _, _, fault := checkLane(g, access{Ptr: val, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
 		t.Errorf("GPUShield should not provide temporal safety: %v", fault)
 	}
 }
@@ -142,21 +226,21 @@ func TestGPUShieldRegions(t *testing.T) {
 	if val != hb.Addr {
 		t.Error("heap blocks must stay untagged")
 	}
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: val + 100000, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
+	if _, _, fault := checkLane(g, access{Ptr: val + 100000, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
 		t.Errorf("intra-heap-region overflow should pass: %v", fault)
 	}
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: 0x123, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
+	if _, _, fault := checkLane(g, access{Ptr: 0x123, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
 		t.Error("escape from heap/global regions missed")
 	}
 	// Local region.
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: alloc.StackTop - 8, Size: 4, Space: isa.SpaceLocal}); fault != nil {
+	if _, _, fault := checkLane(g, access{Ptr: alloc.StackTop - 8, Size: 4, Space: isa.SpaceLocal}); fault != nil {
 		t.Errorf("in-region local faulted: %v", fault)
 	}
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: alloc.StackTop + 8, Size: 4, Space: isa.SpaceLocal}); fault == nil {
+	if _, _, fault := checkLane(g, access{Ptr: alloc.StackTop + 8, Size: 4, Space: isa.SpaceLocal}); fault == nil {
 		t.Error("beyond-local missed")
 	}
 	// Shared unprotected.
-	if _, _, fault := g.CheckAccess(sim.Access{Ptr: 1 << 40, Size: 4, Space: isa.SpaceShared}); fault != nil {
+	if _, _, fault := checkLane(g, access{Ptr: 1 << 40, Size: 4, Space: isa.SpaceShared}); fault != nil {
 		t.Error("GPUShield must not check shared memory")
 	}
 }
@@ -165,17 +249,17 @@ func TestGPUShieldRCacheCosts(t *testing.T) {
 	g := NewGPUShield()
 	val, _ := g.TagAlloc(alloc.Block{Addr: alloc.GlobalBase, Reserved: 1 << 20}, isa.SpaceGlobal)
 	// First (uncoalesced) lookup: compulsory miss -> lookup + penalty.
-	_, extra, _ := g.CheckAccess(sim.Access{Ptr: val, Size: 4, Space: isa.SpaceGlobal, SM: 0})
+	_, extra, _ := checkLane(g, access{Ptr: val, Size: 4, Space: isa.SpaceGlobal, SM: 0})
 	if extra != g.TxLookupCost+g.MissPenalty {
 		t.Errorf("first lookup extra = %d", extra)
 	}
 	// Second: hit -> lookup cost only.
-	_, extra, _ = g.CheckAccess(sim.Access{Ptr: val + 4096, Size: 4, Space: isa.SpaceGlobal, SM: 0})
+	_, extra, _ = checkLane(g, access{Ptr: val + 4096, Size: 4, Space: isa.SpaceGlobal, SM: 0})
 	if extra != g.TxLookupCost {
 		t.Errorf("warm lookup extra = %d", extra)
 	}
 	// Coalesced lane: free.
-	_, extra, _ = g.CheckAccess(sim.Access{Ptr: val + 4100, Size: 4, Space: isa.SpaceGlobal, SM: 0, Coalesced: true})
+	_, extra, _ = checkLane(g, access{Ptr: val + 4100, Size: 4, Space: isa.SpaceGlobal, SM: 0, Coalesced: true})
 	if extra != 0 {
 		t.Errorf("coalesced lane extra = %d", extra)
 	}
@@ -184,7 +268,7 @@ func TestGPUShieldRCacheCosts(t *testing.T) {
 	}
 	// Reset clears the RCache: next lookup misses again.
 	g.Reset()
-	_, extra, _ = g.CheckAccess(sim.Access{Ptr: val, Size: 4, Space: isa.SpaceGlobal, SM: 0})
+	_, extra, _ = checkLane(g, access{Ptr: val, Size: 4, Space: isa.SpaceGlobal, SM: 0})
 	if extra != g.TxLookupCost+g.MissPenalty {
 		t.Errorf("post-reset extra = %d", extra)
 	}
@@ -205,7 +289,7 @@ func TestBaggyMechanism(t *testing.T) {
 	}
 	// No hardware checks: out-of-class access passes the LSU (the
 	// software TRAP sequence is responsible for detection).
-	eff, extra, fault := m.CheckAccess(sim.Access{Ptr: val + 100000, Size: 4})
+	eff, extra, fault := checkLane(m, access{Ptr: val + 100000, Size: 4})
 	if fault != nil || extra != 0 || eff != b.Addr+100000 {
 		t.Errorf("baggy LSU must only strip: eff=%#x extra=%d fault=%v", eff, extra, fault)
 	}
@@ -242,7 +326,7 @@ func TestIMTMechanism(t *testing.T) {
 		t.Fatal("zero tag assigned")
 	}
 	// In-bounds: tags match.
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: val + 512, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
+	if _, _, fault := checkLane(m, access{Ptr: val + 512, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
 		t.Errorf("in-bounds faulted: %v", fault)
 	}
 	// Adjacent buffer has a different tag: overflow caught.
@@ -250,19 +334,19 @@ func TestIMTMechanism(t *testing.T) {
 	if _, err := m.TagAlloc(b2, isa.SpaceGlobal); err != nil {
 		t.Fatalf("TagAlloc: %v", err)
 	}
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: val + 1024, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
+	if _, _, fault := checkLane(m, access{Ptr: val + 1024, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
 		t.Error("adjacent overflow missed (tag collision?)")
 	}
 	// Temporal: tag washing catches the stale base pointer.
 	m.UntagFree(val, isa.SpaceGlobal)
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: val, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
+	if _, _, fault := checkLane(m, access{Ptr: val, Size: 4, Space: isa.SpaceGlobal}); fault == nil {
 		t.Error("stale pointer passed after tag wash")
 	}
 	// Non-global spaces unprotected; untagged pointers unchecked.
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: 1 << 40, Size: 4, Space: isa.SpaceShared}); fault != nil {
+	if _, _, fault := checkLane(m, access{Ptr: 1 << 40, Size: 4, Space: isa.SpaceShared}); fault != nil {
 		t.Error("IMT must not check shared")
 	}
-	if _, _, fault := m.CheckAccess(sim.Access{Ptr: alloc.HeapBase, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
+	if _, _, fault := checkLane(m, access{Ptr: alloc.HeapBase, Size: 4, Space: isa.SpaceGlobal}); fault != nil {
 		t.Error("untagged heap pointer must pass")
 	}
 	if m.Stats.Checks == 0 || m.Stats.Mismatches == 0 {

@@ -223,6 +223,9 @@ type launch struct {
 	res  [32]uint64
 	// lineShift is log2 of the cache line size.
 	lineShift uint
+	// acc is the warp memory instruction handed to the mechanism's LSU
+	// hook.
+	acc WarpAccess
 	// memInstrs counts executed memory instructions per opcode, folded
 	// into KernelStats.MemInstrs when the launch ends.
 	memInstrs [256]uint64
@@ -412,14 +415,15 @@ func (ls *launch) fillSMs() {
 
 // placeBlock instantiates block ctaid on an SM, reusing a retired
 // block's context and warp slots when there is one: every warp is reset
-// to its launch state, its register rows and scoreboard cleared.
+// to its launch state, its register rows and scoreboard cleared, and
+// the shared and local memories are reset, keeping their page frames.
 func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 	var blk *blockCtx
 	if n := len(ls.free); n > 0 {
 		blk = ls.free[n-1]
 		ls.free = ls.free[:n-1]
 	} else {
-		blk = &blockCtx{}
+		blk = &blockCtx{shared: mem.NewAddrSpace()}
 		nregs := ls.prog.RegFileWidth()
 		for wi := 0; wi < ls.warpsPerBlock(); wi++ {
 			lanes := min(ls.bdim-wi*32, 32)
@@ -431,7 +435,7 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 		}
 	}
 	blk.ctaid = ctaid
-	blk.shared = mem.NewAddrSpace()
+	blk.shared.Reset()
 	blk.race = nil
 	if ls.race != nil {
 		blk.race = ls.race.NewBlockShadow()
@@ -441,7 +445,11 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 		mask := uint32(1)<<uint(len(w.locals)) - 1 // one local space per lane
 		clear(w.rf)
 		clear(w.regReady)
-		clear(w.locals)
+		for _, lm := range w.locals {
+			if lm != nil {
+				lm.Reset()
+			}
+		}
 		*w = warp{
 			globalID:   ctaid*len(blk.warps) + wi,
 			block:      blk,

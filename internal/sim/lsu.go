@@ -62,10 +62,11 @@ func (c *coalescer) addAccess(phys, size uint64, shift uint) {
 	}
 }
 
-// memAccess executes one warp-level memory instruction: per-lane safety
-// checks (the EC site), functional access, coalescing, and latency.
-// Global and shared accesses go through one page window (mem.PageWin)
-// for the whole instruction.
+// memAccess executes one warp-level memory instruction: the safety
+// check of every exec lane through the mechanism's per-warp hook (the
+// EC site), then the functional access and coalescing of the lanes
+// that passed, then latency. Global and shared accesses go through one
+// page window (mem.PageWin) for the whole instruction.
 func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int) {
 	ls.progress()
 	cfg := &ls.dev.Cfg
@@ -77,81 +78,101 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	shift := ls.lineShift
 	off := sx32(in.Imm)
 
-	var (
-		co          coalescer
-		prevRawLine uint64
-		haveRaw     bool
-		extraSum    uint64
-		pw          mem.PageWin
-	)
-	// race is the block's race-oracle shadow for a shared access (nil
-	// otherwise or with the oracle off).
-	var race *BlockShadow
-	raceKind := RaceRead
+	// Safety checks. Coalescing is judged on raw (possibly tagged)
+	// pointer lines over every exec lane: tag bits are constant within
+	// a buffer, so lanes falling in the same line compare equal
+	// regardless of the tagging scheme.
+	acc := &ls.acc
+	ar := ls.row(w, in.Src[0])
+	pass, extraSum := exec, uint64(0)
+	if in.Hint.E {
+		// The compiler proved this access in-bounds and the linter's
+		// elide audit independently re-derived the proof: the extent
+		// check is skipped and the address is canonicalised directly.
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			acc.Addr[lane] = ls.dev.Mech.Canonical(ar[lane] + off)
+		}
+		ls.stats.ECElided += uint64(bits.OnesCount32(exec))
+	} else {
+		var (
+			co          uint32
+			prevRawLine uint64
+			haveRaw     bool
+		)
+		for m := exec; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			raw := ar[lane] + off
+			acc.Addr[lane] = raw
+			rawLine := raw >> shift
+			if haveRaw && rawLine == prevRawLine {
+				co |= 1 << lane
+			}
+			prevRawLine, haveRaw = rawLine, true
+		}
+		acc.SM, acc.Space, acc.Size, acc.Store = sm.id, space, size, isStore
+		acc.Cycle, acc.Coalesced = ls.cycle, co
+		checked := exec
+		// Mechanism costs accumulate across lanes: shared checking
+		// structures (bounds caches, table fetch ports) serialize, which
+		// is exactly what hurts uncoalesced access patterns (§XI-A).
+		// Mechanisms with per-lane hardware (LMI's EC) charge zero.
+		for m := exec; m != 0; {
+			extra, lane, fault := ls.dev.Mech.CheckAccess(acc, m)
+			extraSum += extra
+			if fault == nil {
+				break
+			}
+			ls.recordFault(fault, pc, sm.id, w.globalID, lane)
+			pass &^= 1 << lane // access suppressed for this lane
+			if ls.halted {
+				// The lanes above the halting one are never checked.
+				below := uint32(1)<<lane - 1
+				pass &= below
+				checked &= below | 1<<lane
+				break
+			}
+			m &= ^uint32(0) << (lane + 1)
+		}
+		ls.stats.ECChecked += uint64(bits.OnesCount32(checked))
+	}
+
+	if ls.dev.Tracer != nil {
+		for m := pass; m != 0; m &= m - 1 {
+			ls.traceEv.Addrs = append(ls.traceEv.Addrs, acc.Addr[bits.TrailingZeros32(m)])
+		}
+	}
+	var pw mem.PageWin
 	switch space {
 	case isa.SpaceGlobal:
 		pw = mem.NewPageWin(ls.dev.Global)
 	case isa.SpaceShared:
 		pw = mem.NewPageWin(w.block.shared)
-		race = w.block.race
-		if isAtom {
-			raceKind = RaceAtomic
-		} else if isStore {
-			raceKind = RaceWrite
+		// The block's race-oracle shadow (nil with the oracle off).
+		if race := w.block.race; race != nil {
+			kind := RaceRead
+			if isAtom {
+				kind = RaceAtomic
+			} else if isStore {
+				kind = RaceWrite
+			}
+			for m := pass; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m)
+				race.Record(pc, w.warpIdx*32+lane, kind, acc.Addr[lane], size)
+			}
 		}
 	}
-	ar, vr, dr := ls.row(w, in.Src[0]), ls.row(w, in.Src[1]), &ls.res
+
+	// Functional access; a load or atomic with an RZ destination writes
+	// the scratch row.
+	var co coalescer
+	vr, dr := ls.row(w, in.Src[1]), &ls.res
 	if in.Dst != isa.RZ {
 		dr = ls.row(w, in.Dst)
 	}
-	for m := exec; m != 0; m &= m - 1 {
+	for m := pass; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
-		raw := ar[lane] + off
-
-		// Coalescing is judged on raw (possibly tagged) pointer lines:
-		// tag bits are constant within a buffer, so lanes falling in the
-		// same line compare equal regardless of the tagging scheme.
-		rawLine := raw >> shift
-		coalesced := haveRaw && rawLine == prevRawLine
-		prevRawLine, haveRaw = rawLine, true
-		var eff uint64
-		if in.Hint.E {
-			// The compiler proved this access in-bounds and the linter's
-			// elide audit independently re-derived the proof: the extent
-			// check is skipped and the address is canonicalised directly.
-			eff = ls.dev.Mech.Canonical(raw)
-			ls.stats.ECElided++
-		} else {
-			var extra uint64
-			var fault *core.Fault
-			eff, extra, fault = ls.dev.Mech.CheckAccess(Access{
-				SM: sm.id, Space: space, Ptr: raw, Size: size,
-				Store: isStore, Cycle: ls.cycle, Coalesced: coalesced,
-			})
-			ls.stats.ECChecked++
-			// Mechanism costs accumulate across lanes: shared checking
-			// structures (bounds caches, table fetch ports) serialize, which
-			// is exactly what hurts uncoalesced access patterns (§XI-A).
-			// Mechanisms with per-lane hardware (LMI's EC) return zero.
-			extraSum += extra
-			if fault != nil {
-				ls.recordFault(fault, pc, sm.id, w.globalID, lane)
-				if ls.halted {
-					return
-				}
-				continue // access suppressed for this lane
-			}
-		}
-		if ls.dev.Tracer != nil {
-			ls.traceEv.Addrs = append(ls.traceEv.Addrs, eff)
-		}
-
-		if race != nil {
-			race.Record(pc, w.warpIdx*32+lane, raceKind, eff, size)
-		}
-
-		// Functional access; a load or atomic with an RZ destination
-		// writes the scratch row.
+		eff := acc.Addr[lane]
 		phys := eff
 		switch {
 		case space == isa.SpaceLocal:
@@ -176,6 +197,9 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 			dr[lane] = loadValue(pw.Load(eff, size), signExt)
 		}
 		co.addAccess(phys, size, shift)
+	}
+	if ls.halted {
+		return
 	}
 
 	// Timing: serialize one transaction per cycle at the LSU; each

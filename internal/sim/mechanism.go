@@ -6,28 +6,33 @@ import (
 	"lmi/internal/isa"
 )
 
-// Access describes one lane's memory access, passed to the mechanism's
-// LSU hook (the EC site).
-type Access struct {
+// WarpAccess describes one warp memory instruction's accesses, passed
+// to the mechanism's LSU hook (the EC site). The EC sits in the LSU and
+// sees the whole warp instruction at once (§VII, Fig. 10).
+type WarpAccess struct {
 	// SM is the SM index (mechanisms may keep per-SM state, e.g.
 	// GPUShield's RCache).
 	SM int
 	// Space is the memory space being accessed.
 	Space isa.Space
-	// Ptr is the raw register value used as the address (possibly
-	// tagged).
-	Ptr uint64
 	// Size is the access size in bytes.
 	Size uint64
 	// Store reports whether the access writes memory.
 	Store bool
 	// Cycle is the current simulation cycle.
 	Cycle uint64
-	// Coalesced reports whether this lane's access fell in the same
-	// memory transaction as the previous lane's (mechanisms whose
+	// Coalesced has bit l set when lane l's access fell in the same
+	// memory transaction as the previous exec lane's: the caller judges
+	// it on raw (possibly tagged) pointer lines over every exec lane,
+	// lanes that go on to fault included. Mechanisms whose
 	// per-transaction structures are stressed by uncoalesced access use
-	// this).
-	Coalesced bool
+	// it.
+	Coalesced uint32
+	// Addr holds each lane's raw register value used as the address
+	// (possibly tagged). The hook overwrites every lane it passes with
+	// the effective address the memory system should use (tag bits
+	// stripped).
+	Addr [32]uint64
 }
 
 // Mechanism is a pluggable memory-safety mechanism. The simulator invokes
@@ -67,10 +72,17 @@ type Mechanism interface {
 	// slices).
 	CheckPointerOp(in, out uint64) (res uint64, extraLatency uint64)
 
-	// CheckAccess is the LSU hook. It returns the effective address the
-	// memory system should use (tag bits stripped), extra cycles charged
-	// to the access, and a fault if the access must be suppressed.
-	CheckAccess(a Access) (effAddr uint64, extra uint64, fault *core.Fault)
+	// CheckAccess is the LSU hook, called once per warp memory
+	// instruction with the exec lanes still to check. It checks them in
+	// ascending order, writing each passed lane's effective address into
+	// a.Addr, and stops at the first lane whose access must be
+	// suppressed: it returns that lane and its fault, or lane -1 and a
+	// nil fault when every lane passed. extra is the cycles charged to
+	// the lanes it checked, the faulting one included. The caller
+	// records the fault and, unless the launch halted, calls again with
+	// the lanes above it, so statistics, per-SM state and the fault
+	// order are those of a lane-by-lane check.
+	CheckAccess(a *WarpAccess, lanes uint32) (extra uint64, lane int, fault *core.Fault)
 
 	// Reset clears per-kernel microarchitectural state (caches, stats)
 	// before a launch.
@@ -99,8 +111,8 @@ func (Baseline) Canonical(val uint64) uint64 { return val }
 // CheckPointerOp implements Mechanism.
 func (Baseline) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
 
-// CheckAccess implements Mechanism.
-func (Baseline) CheckAccess(a Access) (uint64, uint64, *core.Fault) { return a.Ptr, 0, nil }
+// CheckAccess implements Mechanism: every address is already effective.
+func (Baseline) CheckAccess(*WarpAccess, uint32) (uint64, int, *core.Fault) { return 0, -1, nil }
 
 // Reset implements Mechanism.
 func (Baseline) Reset() {}

@@ -201,11 +201,11 @@ func (m panicMech) TagAlloc(b alloc.Block, s isa.Space) (uint64, error) {
 	return m.Baseline.TagAlloc(b, s)
 }
 
-func (m panicMech) CheckAccess(a sim.Access) (uint64, uint64, *core.Fault) {
+func (m panicMech) CheckAccess(a *sim.WarpAccess, lanes uint32) (uint64, int, *core.Fault) {
 	if m.onAccess {
 		panic("mechanism bug: CheckAccess")
 	}
-	return m.Baseline.CheckAccess(a)
+	return m.Baseline.CheckAccess(a, lanes)
 }
 
 // TestLaunchPanicContained: a mechanism that panics mid-launch surfaces
