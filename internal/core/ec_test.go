@@ -54,6 +54,33 @@ func TestECFaultsOnStraddlingAccess(t *testing.T) {
 	}
 }
 
+// TestECSizeClassCheckMatchesInBounds: for every practical extent, the
+// EC's straddle check admits exactly the accesses whose last byte
+// Codec.InBounds places in the pointer's buffer, at offsets around the
+// start and the end of the size class and sizes up to past the class.
+func TestECSizeClassCheckMatchesInBounds(t *testing.T) {
+	ec := NewEC()
+	c := ec.Codec
+	for e := Extent(1); e <= c.maxPractical(); e++ {
+		class := c.SizeForExtent(e)
+		base := class * 3
+		p, err := c.Encode(base, e)
+		if err != nil {
+			t.Fatalf("extent %d: %v", e, err)
+		}
+		for _, off := range []uint64{0, 1, 4, class/2 - 1, class - 8, class - 4, class - 1} {
+			q := Pointer(uint64(p) + off)
+			for _, size := range []uint64{1, 2, 4, 8, 16, class - off, class - off + 1, class} {
+				last := q.Addr() + size - 1
+				want := last >= q.Addr() && c.InBounds(q, last)
+				if got := ec.CheckAccess(q, size) == nil; got != want {
+					t.Errorf("extent %d offset %d size %d: allowed=%v, InBounds says %v", e, off, size, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestECFaultsOnDebugExtent(t *testing.T) {
 	c, _ := NewCodec(8, 28)
 	ec := &EC{Codec: c}
