@@ -199,10 +199,38 @@ type predFact struct {
 	hasImm bool
 }
 
-// eState is the abstract machine state at one program point.
+// regWidth is the register width of an audit's abstract states for p:
+// one past the highest register any instruction names in Dst or Src,
+// RZ excluded. It scans the instructions rather than trusting NumRegs,
+// so a program that was never validated still cannot index past a
+// state. Registers at or above the width are never read or written;
+// RZ has no slot, and the audits answer reads of it before indexing.
+func regWidth(p *isa.Program) int {
+	w := 0
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		for _, r := range [...]isa.Reg{in.Dst, in.Src[0], in.Src[1], in.Src[2]} {
+			if r != isa.RZ && int(r) >= w {
+				w = int(r) + 1
+			}
+		}
+	}
+	return w
+}
+
+// eState is the abstract machine state at one program point. regs holds
+// one slot per register below the program's regWidth, carved from the
+// audit's arena; RZ has no slot (it reads as the constant 0 in the
+// transfer functions and as unknown in judge).
 type eState struct {
-	regs  [numRegs]eVal
+	regs  []eVal
 	preds [isa.NumPredRegs]predFact
+}
+
+// copyFrom overwrites s with src; both span the same width.
+func (s *eState) copyFrom(src *eState) {
+	copy(s.regs, src.regs)
+	s.preds = src.preds
 }
 
 // auditor carries one elide-audit run.
@@ -217,6 +245,10 @@ type auditor struct {
 	entries    []eState
 	reached    []bool
 	incomplete bool
+	// Scratch states: the popped entry's post-state, a refined edge
+	// state, and a back-edge target's entry before the merge (the
+	// widening baseline).
+	st, est, old eState
 }
 
 // ElideAudit re-derives the in-bounds-ness of every E (elide) hint from
@@ -249,16 +281,20 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	}
 	a.dimsOK = a.bdx >= 1 && a.bdx <= 1024 && a.gdx >= 1 && a.bdy >= 1 && a.gdy >= 1
 
-	n := len(p.Instrs)
+	n, w := len(p.Instrs), regWidth(p)
 	a.entries = make([]eState, n)
 	a.reached = make([]bool, n)
+	arena := make([]eVal, (n+3)*w)
+	carve := func(k int) []eVal { return arena[k*w : (k+1)*w : (k+1)*w] }
+	for i := range a.entries {
+		a.entries[i].regs = carve(i)
+	}
+	a.st.regs, a.est.regs, a.old.regs = carve(n), carve(n+1), carve(n+2)
 
 	// Entry: every register holds garbage (unknown), no predicate facts.
-	var init eState
-	for r := range init.regs {
-		init.regs[r] = evTop()
+	for r := range a.entries[0].regs {
+		a.entries[0].regs[r] = evTop()
 	}
-	a.entries[0] = init
 	a.reached[0] = true
 
 	g := isa.NewCFG(p)
@@ -270,17 +306,16 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 			a.incomplete = true
 			break
 		}
-		st := a.entries[i]
-		a.transfer(i, &st)
+		st := &a.st
+		st.copyFrom(&a.entries[i])
+		a.transfer(i, st)
 		in := &p.Instrs[i]
 		if (in.Pred != isa.PT || in.PredNeg) && in.Op != isa.BRA {
 			// Predicated non-branch: inactive lanes keep the old state.
-			entry := a.entries[i]
-			mergeState(&st, &entry)
+			mergeState(st, &a.entries[i])
 		}
 		for _, e := range g.Succs(i) {
-			est := a.edgeState(i, e, &st)
-			if a.mergeEntry(e.To, &est, e.To <= i) {
+			if a.mergeEntry(e.To, a.edgeState(i, e, st), e.To <= i) {
 				work.Push(e.To)
 			}
 		}
@@ -306,16 +341,18 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 
 // edgeState returns the state flowing along edge e out of instruction
 // i. A predicated BRA splits the state: the taken edge learns the
-// guarding SETP fact, the fall-through edge its negation.
-func (a *auditor) edgeState(i int, e isa.Edge, st *eState) eState {
+// guarding SETP fact, the fall-through edge its negation, each refined
+// in the est scratch state. Any other edge carries st itself.
+func (a *auditor) edgeState(i int, e isa.Edge, st *eState) *eState {
 	in := &a.p.Instrs[i]
-	out := *st
 	if in.Op == isa.BRA && in.Pred < isa.PT {
 		if f := st.preds[in.Pred]; f.ok {
-			refineState(&out, f, e.Taken != in.PredNeg)
+			a.est.copyFrom(st)
+			refineState(&a.est, f, e.Taken != in.PredNeg)
+			return &a.est
 		}
 	}
-	return out
+	return st
 }
 
 // mergeState joins src into dst elementwise, reporting growth.
@@ -340,16 +377,19 @@ func mergeState(dst, src *eState) bool {
 // on backward edges (every cycle closes through one, so the fixpoint
 // terminates without losing forward-edge refinement precision).
 func (a *auditor) mergeEntry(to int, st *eState, back bool) bool {
+	dst := &a.entries[to]
 	if !a.reached[to] {
-		a.entries[to] = *st
+		dst.copyFrom(st)
 		a.reached[to] = true
 		return true
 	}
-	old := a.entries[to]
-	changed := mergeState(&a.entries[to], st)
+	if back {
+		a.old.copyFrom(dst)
+	}
+	changed := mergeState(dst, st)
 	if changed && back {
-		for r := range a.entries[to].regs {
-			a.entries[to].regs[r] = widenVal(old.regs[r], a.entries[to].regs[r])
+		for r := range dst.regs {
+			dst.regs[r] = widenVal(a.old.regs[r], dst.regs[r])
 		}
 	}
 	return changed
@@ -896,7 +936,10 @@ func orVals(x, y eVal) eVal {
 func (a *auditor) judge(i int, st *eState) (Diag, bool) {
 	in := &a.p.Instrs[i]
 	addr := in.Src[0]
-	v := st.regs[addr]
+	v := evTop() // RZ traces to no allocation
+	if addr != isa.RZ {
+		v = st.regs[addr]
+	}
 	bad := func(format string, args ...any) (Diag, bool) {
 		return Diag{Kind: KindUnsoundElide, Instr: i, Op: in.Op.String(), Reg: addr,
 			Detail: fmt.Sprintf(format, args...)}, false

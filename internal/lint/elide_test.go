@@ -58,7 +58,7 @@ func TestFreeWithoutProvenanceClearsHeapFacts(t *testing.T) {
 		}
 	}
 
-	var st eState
+	st := eState{regs: make([]eVal, 7)} // R0..R6: wide enough for every register the test plants
 	reset(&st)
 	st.regs[4] = heapAt(7)
 	st.regs[6] = heapAt(9)
@@ -94,7 +94,7 @@ func TestJudgeOverflowRejects(t *testing.T) {
 	a := &auditor{p: p, c: bounds.Contract{
 		CountParam: 2, CountMin: 1, CountMax: 1 << 15, PtrBytesPerCount: 4,
 	}, countOK: true}
-	var st eState
+	st := eState{regs: make([]eVal, regWidth(p))}
 	for r := range st.regs {
 		st.regs[r] = evTop()
 	}
