@@ -116,12 +116,22 @@ fast:
 bench:
 	LMI_BENCH_JSON=. $(GO) test -bench=. -benchmem . | tee bench_output.txt
 
-# CPU and heap profiles of the sequential Fig. 12 sweep on one execution
-# tier (TIER=cycle or TIER=compiled): writes cpu.pprof and mem.pprof and
-# prints the top 25 nodes of the CPU profile and of the bytes allocated.
-# Read them further with: go tool pprof -top cpu.pprof
+# CPU and heap profiles of one layer. TIER=cycle or TIER=compiled
+# profiles the sequential Fig. 12 sweep on that execution tier;
+# TIER=release profiles the static passes and audits through
+# BenchmarkReleaseBuildVerify (internal/bundle: four passes of building,
+# sealing and encoding the 28-workload elide + specialize bundle on one
+# worker, then decoding it and running bundle.Verify; the test binary
+# goes to $TMPDIR, or /tmp). Writes cpu.pprof and mem.pprof and prints
+# the top 25 nodes of the CPU profile and of the bytes allocated. Read
+# them further with: go tool pprof -top cpu.pprof
 TIER ?= cycle
 profile:
+ifeq ($(TIER),release)
+	$(GO) test -run '^$$' -bench BenchmarkReleaseBuildVerify -benchtime 4x -o "$${TMPDIR:-/tmp}/lmi-bundle.test" \
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/bundle
+else
 	$(GO) run ./cmd/lmi-bench -fig 12 -jobs 1 -tier $(TIER) -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+endif
 	$(GO) tool pprof -top -nodecount=25 cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 mem.pprof

@@ -1,0 +1,42 @@
+package bundle
+
+import (
+	"bytes"
+	"testing"
+
+	"lmi/internal/workloads"
+)
+
+// BenchmarkReleaseBuildVerify is the static-pass layer's profile entry
+// point: one iteration builds all 28 workloads with elision and
+// specialization on one worker, seals and encodes the bundle, then
+// decodes it and runs Verify, which re-runs every static pass and
+// audit. `make profile TIER=release` runs it under the CPU and heap
+// profilers.
+func BenchmarkReleaseBuildVerify(b *testing.B) {
+	var specs []BuildSpec
+	for _, s := range workloads.All() {
+		specs = append(specs, BuildSpec{Workload: s.Name, Elide: true, Specialize: true})
+	}
+	b.ReportAllocs()
+	for range b.N {
+		built, err := Build(specs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := built.Seal(testKey); err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := built.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := Decode(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Verify(decoded, trusted()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
