@@ -142,9 +142,9 @@ func (r *SoakReport) Violations() []string {
 func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	cfg := r.Config
 	fmt.Fprintf(w, "lmi-fleet soak  seed=0x%x  requests=%d  shards=%d  replicas=%d  servers/shard=%d  queue/shard=%d\n",
-		cfg.Seed, cfg.Requests, cfg.Shards, cfg.Replicas, cfg.VirtualServers, cfg.QueueCapacity)
+		cfg.Seed, cfg.Requests, cfg.Shards, ringReplicas, soakServers, soakQueueCapacity)
 	fmt.Fprintf(w, "fleet budget: %d queued  max requeues: %d  arrival: %v\n",
-		cfg.FleetBudget, cfg.MaxRequeues, cfg.ArrivalEvery)
+		cfg.fleetBudget(), soakMaxRequeues, soakArrivalEvery)
 	fmt.Fprintf(w, "retry: %d attempts, base %v, cap %v   breaker: open@%d, cooldown %v, close@%d probes\n",
 		cfg.Retry.MaxAttempts, cfg.Retry.BackoffBase, cfg.Retry.BackoffMax,
 		cfg.Breaker.FailThreshold, cfg.Breaker.Cooldown, cfg.Breaker.ProbeSuccesses)
@@ -188,7 +188,7 @@ func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	fmt.Fprintf(w, "retries scheduled: %d\n", r.Retries)
 	fmt.Fprintf(w, "shard-death requeues: %d\n", r.Requeues)
 	fmt.Fprintf(w, "decision records: written=%d dropped=%d\n", r.Decisions.Written, r.Decisions.Dropped)
-	fmt.Fprintf(w, "fleet queue high-watermark: %d of %d\n", r.HighWater, cfg.FleetBudget)
+	fmt.Fprintf(w, "fleet queue high-watermark: %d of %d\n", r.HighWater, cfg.fleetBudget())
 	fmt.Fprintf(w, "virtual makespan: %v\n", r.Makespan)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "per-shard:")

@@ -14,6 +14,23 @@ import (
 	"lmi/internal/serve"
 )
 
+// Soak-scale serving shape: the fleet soak's ring, virtual servers,
+// queues, requeue bound and arrival pacing are fixed; only the stream
+// (seed, length) and the fleet size vary.
+const (
+	// soakServers is each shard's virtual concurrency and
+	// soakQueueCapacity bounds each shard's admission queue.
+	soakServers       = 2
+	soakQueueCapacity = 8
+	// soakMaxRequeues bounds shard-death redistribution per request;
+	// one more death than this finalizes the request as lost with
+	// ErrShardLost.
+	soakMaxRequeues = 3
+	// soakArrivalEvery is the base inter-arrival gap; scripted bursts
+	// arrive at a fifth of it.
+	soakArrivalEvery = 60 * time.Microsecond
+)
+
 // SoakConfig parameterises the fleet soak: a seeded request stream
 // replayed through the sharded serving state machines on a virtual
 // timeline, under a scripted schedule of shard kills, rejoins, and
@@ -25,10 +42,8 @@ type SoakConfig struct {
 	// Requests is the stream length (default 1000; the check gate runs
 	// 100000).
 	Requests int
-	// Shards is the fleet size (default 3) and Replicas the ring's
-	// virtual nodes per shard (default 16).
-	Shards   int
-	Replicas int
+	// Shards is the fleet size (default 3).
+	Shards int
 	// Workers sizes the precompute pool (<= 0 = LMI_JOBS / GOMAXPROCS).
 	// It affects wall-clock time only, never a byte of the report.
 	Workers int
@@ -36,22 +51,6 @@ type SoakConfig struct {
 	SMs int
 	// Tier selects the execution tier attempts simulate on.
 	Tier fastsim.Tier
-	// VirtualServers is each shard's virtual concurrency (default 2);
-	// QueueCapacity bounds each shard's admission queue (default 8).
-	VirtualServers int
-	QueueCapacity  int
-	// FleetBudget bounds the total queued across all shards; admission
-	// beyond it sheds with ErrFleetOverloaded even when the owner
-	// shard has room (default 3/4 of the summed shard capacity, so a
-	// correlated burst trips it before every queue is full).
-	FleetBudget int
-	// MaxRequeues bounds shard-death redistribution per request; one
-	// more death than this finalizes the request as lost with
-	// ErrShardLost (default 3).
-	MaxRequeues int
-	// ArrivalEvery is the base inter-arrival gap; scripted bursts
-	// arrive at a fifth of it (default 60µs).
-	ArrivalEvery time.Duration
 	// Breaker and Retry are the per-shard serving policies.
 	Breaker serve.BreakerConfig
 	Retry   serve.RetryConfig
@@ -62,6 +61,12 @@ type SoakConfig struct {
 	DisableBundles bool
 }
 
+// fleetBudget bounds the total queued across all shards; admission
+// beyond it sheds with ErrFleetOverloaded even when the owner shard has
+// room. It is 3/4 of the summed shard capacity, so a correlated burst
+// trips it before every queue is full.
+func (sc SoakConfig) fleetBudget() int { return sc.Shards * soakQueueCapacity * 3 / 4 }
+
 // withDefaults fills zero fields with soak-scale values.
 func (sc SoakConfig) withDefaults() SoakConfig {
 	if sc.Requests <= 0 {
@@ -70,26 +75,8 @@ func (sc SoakConfig) withDefaults() SoakConfig {
 	if sc.Shards <= 0 {
 		sc.Shards = 3
 	}
-	if sc.Replicas <= 0 {
-		sc.Replicas = 16
-	}
 	if sc.SMs <= 0 {
 		sc.SMs = 1
-	}
-	if sc.VirtualServers <= 0 {
-		sc.VirtualServers = 2
-	}
-	if sc.QueueCapacity <= 0 {
-		sc.QueueCapacity = 8
-	}
-	if sc.FleetBudget <= 0 {
-		sc.FleetBudget = sc.Shards * sc.QueueCapacity * 3 / 4
-	}
-	if sc.MaxRequeues <= 0 {
-		sc.MaxRequeues = 3
-	}
-	if sc.ArrivalEvery <= 0 {
-		sc.ArrivalEvery = 60 * time.Microsecond
 	}
 	if sc.Breaker.Cooldown <= 0 {
 		sc.Breaker.Cooldown = 1500 * time.Microsecond
@@ -145,9 +132,9 @@ func genStream(cfg SoakConfig, inj *chaos.Injector, plan []chaos.ShardFault, ben
 	var runMech string
 	var runKind chaos.Kind
 	for i := range reqs {
-		gap := cfg.ArrivalEvery
+		gap := soakArrivalEvery
 		if inBurst(now) {
-			gap = cfg.ArrivalEvery / 5
+			gap = soakArrivalEvery / 5
 		}
 		now += gap
 		if bench && runLeft == 0 && intn(8) == 0 {
@@ -295,7 +282,7 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 	if err != nil {
 		return nil, fmt.Errorf("fleet soak: building executor: %w", err)
 	}
-	horizon := cfg.ArrivalEvery * time.Duration(cfg.Requests)
+	horizon := soakArrivalEvery * time.Duration(cfg.Requests)
 	plan := chaos.ShardFaultPlan(cfg.Seed, cfg.Shards, horizon)
 	var sb *soakBundles
 	if !cfg.DisableBundles {
@@ -343,7 +330,8 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 		rep.BundleDigests = sb.digests
 	}
 
-	ring := NewRing(cfg.Shards, cfg.Replicas)
+	ring := NewRing(cfg.Shards, ringReplicas)
+	budget := cfg.fleetBudget()
 	hashes := make([]uint64, len(reqs))
 	for i := range reqs {
 		hashes[i] = RequestHash(reqs[i])
@@ -352,7 +340,7 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 	alive := make([]bool, cfg.Shards)
 	for s := range shards {
 		shards[s] = &shardSim{
-			alive: true, free: cfg.VirtualServers,
+			alive: true, free: soakServers,
 			inflight: make(map[int]int),
 			brk:      serve.NewBreaker(cfg.Breaker),
 		}
@@ -420,7 +408,7 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 	// replay stays deterministic.
 	requeue := func(req, attempt int) {
 		hops[req]++
-		if hops[req] > cfg.MaxRequeues {
+		if hops[req] > soakMaxRequeues {
 			finalize(req, -1, StatusLost, attempt,
 				fmt.Errorf("%w: %d requeues after repeated shard deaths", ErrShardLost, hops[req]))
 			return
@@ -503,12 +491,12 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 					e.attempt, fmt.Errorf("%w: no shard alive", ErrShardLost))
 				break
 			}
-			if queuedTotal >= cfg.FleetBudget {
+			if queuedTotal >= budget {
 				finalize(e.req, -1, serve.StatusShed, e.attempt, ErrFleetOverloaded)
 				break
 			}
 			sh := shards[owner]
-			if len(sh.queue) >= cfg.QueueCapacity {
+			if len(sh.queue) >= soakQueueCapacity {
 				finalize(e.req, -1, serve.StatusShed, e.attempt, serve.ErrOverloaded)
 				break
 			}
@@ -597,7 +585,7 @@ func FleetSoak(ctx context.Context, cfg SoakConfig, decisionLog io.Writer) (*Soa
 			}
 			sh.alive, alive[e.shard] = true, true
 			sh.epoch++
-			sh.free = cfg.VirtualServers
+			sh.free = soakServers
 			sh.brk = serve.NewBreaker(cfg.Breaker) // cold cells: the cohort that opened them is gone
 			// Rebalance: queued entries whose ring owner is now the
 			// rejoined shard migrate back, preserving each queue's order.

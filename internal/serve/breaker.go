@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -224,7 +223,7 @@ func (b *Breaker) Transitions() []Transition {
 	return out
 }
 
-// Snapshot returns the current state per key, sorted by key (for
+// Snapshot returns the current state per key (for
 // /stats and shutdown reports).
 func (b *Breaker) Snapshot() map[string]BreakerState {
 	b.mu.Lock()
@@ -234,14 +233,4 @@ func (b *Breaker) Snapshot() map[string]BreakerState {
 		out[k] = c.state
 	}
 	return out
-}
-
-// SortedKeys returns the snapshot keys in deterministic order.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

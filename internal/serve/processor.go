@@ -9,9 +9,9 @@ import (
 // Processor is the shard-local request state machine: validation,
 // circuit-breaker admission, and up to MaxAttempts executions with
 // classified retries and deterministic seeded backoff. It owns no
-// queue and no goroutines — the live Server feeds it from its worker
-// pool, and a fleet shard owns one per simulated device worker, so the
-// executor, breaker, and retry policy stay strictly shard-local.
+// queue and no goroutines — each live fleet shard owns one and feeds it
+// from its worker pool, so the executor, breaker, and retry policy stay
+// strictly shard-local.
 type Processor struct {
 	// Exec runs individual attempts (its compiled victims and program
 	// cache are this shard's warm state).
@@ -31,7 +31,7 @@ type Processor struct {
 	// and virtual-time drivers).
 	Sleep func(ctx context.Context, d time.Duration)
 	// OnRetry, when non-nil, is invoked once per scheduled retry (the
-	// server's stats counter hook).
+	// coordinator's stats counter hook).
 	OnRetry func()
 }
 

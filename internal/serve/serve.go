@@ -1,22 +1,20 @@
-// Package serve is the long-running serving layer over the simulation
-// stack: it accepts kernel-execution requests (workload, mechanism,
-// optional chaos injection, seed) and executes them on the existing
-// runner/sim machinery with production-grade robustness — a bounded
-// admission queue with load shedding, per-request context deadlines
-// threaded into the simulator's watchdog, an error classifier that
-// separates retryable from terminal failures, deterministic
-// exponential backoff with seeded jitter, a per-(workload, mechanism)
-// circuit breaker, and graceful drain.
+// Package serve holds the shard-local serving state machines over the
+// simulation stack. It accepts kernel-execution requests (workload,
+// mechanism, optional chaos injection, seed) and executes them on the
+// existing runner/sim machinery with production-grade robustness:
+// per-request context deadlines threaded into the simulator's
+// watchdog, an error classifier that separates retryable from terminal
+// failures, deterministic exponential backoff with seeded jitter, and
+// a per-(workload, mechanism) circuit breaker.
 //
-// The same state machines run in two drivers. cmd/lmi-serve hosts them
-// behind HTTP/JSON with the real clock and real concurrency. The soak
-// harness (Soak) replays a seeded request stream through them on a
-// virtual timeline: request outcomes are precomputed in parallel on the
-// worker pool (each is a pure function of its seed, the bar the chaos
-// campaign already enforces) and the serving dynamics — queueing,
-// shedding, retries, breaker transitions — are then simulated
-// single-threaded in virtual time, so the soak report is byte-identical
-// for any -jobs value.
+// internal/fleet drives these state machines in both of its modes. Its
+// Coordinator hosts them behind cmd/lmi-serve's HTTP/JSON surface with
+// the real clock and real concurrency (one shard is the single-node
+// service). Its FleetSoak replays a seeded request stream through them
+// on a virtual timeline: attempt outcomes are precomputed in parallel
+// here (PrecomputeAttempts; each is a pure function of its seed) and
+// the serving dynamics are then simulated single-threaded in virtual
+// time, so the soak report is byte-identical for any -jobs value.
 package serve
 
 import (
@@ -200,17 +198,38 @@ type Result struct {
 	BundleDigest string
 }
 
-// errString renders an error for reports; nil-safe.
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
+// Stats is the serving counter snapshot (all values monotonic except
+// Depth and InFlight). Accepted counts admitted requests; every one of
+// them ends in exactly one of OK, Rejected, Failed or Exhausted, and
+// Shed counts the requests refused at admission.
+type Stats struct {
+	Accepted  uint64 `json:"accepted"`
+	Shed      uint64 `json:"shed"`
+	Rejected  uint64 `json:"rejected"`
+	OK        uint64 `json:"ok"`
+	Failed    uint64 `json:"failed"`
+	Exhausted uint64 `json:"exhausted"`
+	Retries   uint64 `json:"retries"`
+	// Depth is the total queued now and HighWater its maximum so far.
+	Depth     int `json:"queue_depth"`
+	HighWater int `json:"queue_high_water"`
+	InFlight  int `json:"in_flight"`
 }
 
-// simTyped reports whether err is (or wraps) one of the simulator or
-// runner layer's typed errors.
-func simTyped(err error) bool {
+// TypedError reports whether err is one of the serving layer's typed
+// failures (a package sentinel, a typed simulator/runner error, or a
+// context error). The fleet layer extends it with its own sentinels in
+// its robustness audit.
+func TypedError(err error) bool {
+	for _, s := range []error{
+		ErrOverloaded, ErrCircuitOpen, ErrDraining, ErrSilentCorruption,
+		ErrFalsePositive, ErrSafetyViolation, ErrBadRequest, ErrEngineDegraded,
+		context.DeadlineExceeded, context.Canceled,
+	} {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
 	var (
 		we  *sim.WatchdogError
 		cl  *sim.CycleLimitError
@@ -222,8 +241,9 @@ func simTyped(err error) bool {
 		errors.As(err, &spe) || errors.As(err, &rpe)
 }
 
-// panicError reports whether err carries a recovered engine panic.
-func panicError(err error) bool {
+// IsPanicError reports whether err carries a recovered engine panic —
+// the one failure family that must never reach a request result.
+func IsPanicError(err error) bool {
 	var spe *sim.PanicError
 	var rpe *runner.PanicError
 	return errors.As(err, &spe) || errors.As(err, &rpe)

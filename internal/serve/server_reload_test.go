@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"lmi/internal/bundle"
+	"lmi/internal/fleet"
 )
 
 var (
@@ -57,13 +58,10 @@ func statsBody(t *testing.T, ts *httptest.Server) map[string]json.RawMessage {
 // serving digest; a tampered reload is refused with the typed reason
 // and rolls back to (keeps) the prior digest.
 func TestServerReloadAndStats(t *testing.T) {
-	s, err := NewServer(Config{
-		Workers: 2, QueueCapacity: 8,
+	s := newServer(t, fleet.Config{
+		WorkersPerShard: 2, QueueCapacity: 8,
 		BundlePub: reloadTestKey.Public().(ed25519.PublicKey),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -1,6 +1,8 @@
-package serve
+package serve_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,12 +15,25 @@ import (
 
 	"lmi/internal/chaos"
 	"lmi/internal/fastsim"
+	"lmi/internal/fleet"
+	. "lmi/internal/serve"
 )
 
-// testServer builds a small live server for HTTP tests.
-func testServer(t *testing.T) *Server {
+// The live serving tests run against a single-shard fleet.Coordinator:
+// the single-node service.
+
+// testServer builds a small live single-node service for HTTP tests.
+func testServer(t *testing.T) *fleet.Coordinator {
 	t.Helper()
-	s, err := NewServer(Config{Workers: 2, QueueCapacity: 8})
+	return newServer(t, fleet.Config{WorkersPerShard: 2, QueueCapacity: 8})
+}
+
+// newServer builds a single-shard coordinator that the test drains on
+// cleanup.
+func newServer(t *testing.T, cfg fleet.Config) *fleet.Coordinator {
+	t.Helper()
+	cfg.Shards = 1
+	s, err := fleet.NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +43,17 @@ func testServer(t *testing.T) *Server {
 		s.Shutdown(ctx)
 	})
 	return s
+}
+
+// resultJSON mirrors the wire form of a Result on POST /run.
+type resultJSON struct {
+	Status   Status        `json:"status"`
+	Attempts int           `json:"attempts"`
+	Class    Class         `json:"class"`
+	Outcome  chaos.Outcome `json:"outcome"`
+	Cycles   uint64        `json:"cycles"`
+	Error    string        `json:"error"`
+	Bundle   string        `json:"bundle_digest"`
 }
 
 // postRun sends one request to POST /run and decodes the reply.
@@ -101,10 +127,7 @@ func TestServerBenchRun(t *testing.T) {
 // and /run flip to refusing once the drain begins; /stats serves the
 // counters either way.
 func TestServerHealthEndpoints(t *testing.T) {
-	s, err := NewServer(Config{Workers: 1, QueueCapacity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, fleet.Config{WorkersPerShard: 1, QueueCapacity: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -148,16 +171,8 @@ func TestServerHealthEndpoints(t *testing.T) {
 // omits the field entirely on the default cycle tier, matching the
 // runner's jobJSON convention.
 func TestServerStatsTier(t *testing.T) {
-	statsBody := func(cfg Config) string {
-		s, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		}()
+	statsBody := func(cfg fleet.Config) string {
+		s := newServer(t, cfg)
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		resp, err := http.Get(ts.URL + "/stats")
@@ -172,114 +187,110 @@ func TestServerStatsTier(t *testing.T) {
 		return buf.String()
 	}
 
-	body := statsBody(Config{Workers: 1, QueueCapacity: 4, Tier: fastsim.TierCompiled})
+	body := statsBody(fleet.Config{WorkersPerShard: 1, QueueCapacity: 4, Tier: fastsim.TierCompiled})
 	if !strings.Contains(body, `"tier":"compiled"`) {
 		t.Fatalf("compiled-tier /stats missing tier field: %s", body)
 	}
-	body = statsBody(Config{Workers: 1, QueueCapacity: 4})
+	body = statsBody(fleet.Config{WorkersPerShard: 1, QueueCapacity: 4})
 	if strings.Contains(body, `"tier"`) {
 		t.Fatalf("cycle-tier /stats must omit the tier field: %s", body)
 	}
 }
 
-// idleServer builds a Server whose queue no worker drains, so admission
-// behaviour is deterministic to test.
-func idleServer(t *testing.T, capacity int) *Server {
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	exec, err := NewExecutor(1)
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	cfg := Config{QueueCapacity: capacity}.withDefaults()
-	s := &Server{
-		cfg:   cfg,
-		queue: make(chan task, capacity),
-		start: time.Now(),
-	}
-	s.proc = &Processor{
-		Exec:            exec,
-		Brk:             NewBreaker(cfg.Breaker),
-		Retry:           cfg.Retry,
-		DefaultDeadline: cfg.DefaultDeadline,
-		Now:             func() time.Duration { return time.Since(s.start) },
-		Sleep:           func(context.Context, time.Duration) {},
-	}
-	return s
 }
 
-// TestServerShedsWhenFull: with the queue at capacity and no worker
-// draining it, the next Submit sheds immediately with ErrOverloaded —
-// it must not block.
+// TestServerShedsWhenFull: with the only worker busy and the queue at
+// capacity, the next Submit sheds immediately with ErrOverloaded — it
+// must not block.
 func TestServerShedsWhenFull(t *testing.T) {
-	s := idleServer(t, 1)
-	req := Request{Mechanism: "lmi", Seed: 1}
+	s := newServer(t, fleet.Config{
+		WorkersPerShard: 1, QueueCapacity: 1, FleetBudget: 8,
+		Retry: RetryConfig{MaxAttempts: 2, BackoffBase: 2 * time.Second, BackoffMax: 4 * time.Second},
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	// Occupy the only worker: a 1ns attempt deadline fails fast and
+	// retryably, so the worker sits in a multi-second backoff until the
+	// cancel below ends it.
+	wedged := make(chan struct{})
+	go func() {
+		defer close(wedged)
+		s.Submit(ctx, Request{Mechanism: "lmi", Kind: "control", Seed: 1, Deadline: time.Nanosecond})
+	}()
+	waitFor(t, "the worker to take the first request", func() bool { return s.Stats().InFlight == 1 })
+
 	// Fill the only queue slot; the submitter parks waiting for a
 	// result that never comes until we cancel it.
+	req := Request{Mechanism: "lmi", Seed: 1}
 	parked := make(chan error, 1)
 	go func() {
 		_, err := s.Submit(ctx, req)
 		parked <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the second request to queue", func() bool { return s.Stats().Depth == 1 })
 
 	if _, err := s.Submit(ctx, req); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second submit err = %v, want ErrOverloaded", err)
+		t.Fatalf("third submit err = %v, want ErrOverloaded", err)
 	}
 	st := s.Stats()
-	if st.Shed != 1 || st.Accepted != 1 {
-		t.Fatalf("stats = %+v, want accepted=1 shed=1", st)
+	if st.Shed != 1 || st.Accepted != 2 || st.HighWater != 1 {
+		t.Fatalf("stats = %+v, want accepted=2 shed=1 high water 1", st)
 	}
 
 	cancel()
 	if err := <-parked; err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("parked submit err = %v, want wrapped context.Canceled", err)
 	}
+	<-wedged
 }
 
 // TestServerRetriesWithBackoff: a request whose attempts always exceed
 // their deadline is retried MaxAttempts times with the deterministic
-// backoff schedule (captured via the injected sleep) and ends
-// exhausted.
+// backoff schedule and ends exhausted — in the shard-local Processor
+// (the schedule captured via the injected sleep) and through the live
+// service (the retries counted, the schedule in the decision record).
 func TestServerRetriesWithBackoff(t *testing.T) {
 	exec, err := NewExecutor(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Retry: RetryConfig{MaxAttempts: 3, BackoffBase: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond},
-		// An attempt deadline far below any real trial's runtime: every
-		// attempt dies in the watchdog with a retryable context error.
-		DefaultDeadline: time.Nanosecond,
-	}.withDefaults()
+	retry := RetryConfig{MaxAttempts: 3, BackoffBase: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond}.WithDefaults()
 	start := time.Now()
 	var slept []time.Duration
 	p := &Processor{
-		Exec:            exec,
-		Brk:             NewBreaker(cfg.Breaker),
-		Retry:           cfg.Retry,
-		DefaultDeadline: cfg.DefaultDeadline,
+		Exec:  exec,
+		Brk:   NewBreaker(BreakerConfig{}),
+		Retry: retry,
+		// An attempt deadline far below any real trial's runtime: every
+		// attempt dies in the watchdog with a retryable context error.
+		DefaultDeadline: time.Nanosecond,
 		Now:             func() time.Duration { return time.Since(start) },
 		Sleep:           func(_ context.Context, d time.Duration) { slept = append(slept, d) },
 	}
 
 	req := Request{Mechanism: "lmi", Kind: "control", Seed: 9}
-	res := p.Process(context.Background(), req)
-	if res.Status != StatusExhausted || res.Attempts != cfg.Retry.MaxAttempts {
-		t.Fatalf("result = %+v, want exhausted after %d attempts", res, cfg.Retry.MaxAttempts)
+	checkExhausted := func(res Result) {
+		t.Helper()
+		if res.Status != StatusExhausted || res.Attempts != retry.MaxAttempts {
+			t.Fatalf("result = %+v, want exhausted after %d attempts", res, retry.MaxAttempts)
+		}
+		if res.Class != ClassRetryable || !errors.Is(res.Err, context.DeadlineExceeded) {
+			t.Fatalf("final error %v (class %s) is not a typed deadline", res.Err, res.Class)
+		}
 	}
-	if res.Class != ClassRetryable || !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Fatalf("final error %v (class %s) is not a typed deadline", res.Err, res.Class)
-	}
-	want := []time.Duration{cfg.Retry.Delay(req.Seed, 0), cfg.Retry.Delay(req.Seed, 1)}
+	checkExhausted(p.Process(context.Background(), req))
+	want := []time.Duration{retry.Delay(req.Seed, 0), retry.Delay(req.Seed, 1)}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %d backoffs", slept, len(want))
 	}
@@ -288,39 +299,75 @@ func TestServerRetriesWithBackoff(t *testing.T) {
 			t.Fatalf("backoff %d = %v, want %v (deterministic schedule)", i, slept[i], want[i])
 		}
 	}
+
+	var log bytes.Buffer
+	s, err := fleet.NewCoordinator(fleet.Config{
+		WorkersPerShard: 1, Retry: retry, DefaultDeadline: time.Nanosecond, DecisionLog: &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExhausted(res)
+	rep := s.Shutdown(context.Background())
+	if rep.Stats.Retries != uint64(len(want)) || rep.Stats.Exhausted != 1 {
+		t.Fatalf("stats = %+v, want %d retries and 1 exhausted", rep.Stats, len(want))
+	}
+	var d fleet.Decision
+	if err := json.Unmarshal(bytes.TrimSpace(log.Bytes()), &d); err != nil {
+		t.Fatalf("decision record: %v", err)
+	}
+	if len(d.RetryNS) != len(want) {
+		t.Fatalf("decision retry schedule %v, want %d backoffs", d.RetryNS, len(want))
+	}
+	for i := range want {
+		if time.Duration(d.RetryNS[i]) != want[i] {
+			t.Fatalf("decision backoff %d = %v, want %v", i, time.Duration(d.RetryNS[i]), want[i])
+		}
+	}
 }
 
 // TestServerBreakerRejects: once a key's breaker opens, subsequent
 // requests for that key are rejected without executing.
 func TestServerBreakerRejects(t *testing.T) {
-	exec, err := NewExecutor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{}.withDefaults()
-	cfg.Breaker = BreakerConfig{FailThreshold: 1, Cooldown: time.Hour, ProbeSuccesses: 1}.withDefaults()
-	start := time.Now()
-	p := &Processor{
-		Exec:            exec,
-		Brk:             NewBreaker(cfg.Breaker),
-		Retry:           cfg.Retry,
-		DefaultDeadline: cfg.DefaultDeadline,
-		Now:             func() time.Duration { return time.Since(start) },
-		Sleep:           func(context.Context, time.Duration) {},
-	}
+	var log bytes.Buffer
+	s := newServer(t, fleet.Config{
+		WorkersPerShard: 1,
+		Breaker:         BreakerConfig{FailThreshold: 1, Cooldown: time.Hour, ProbeSuccesses: 1},
+		DecisionLog:     &log,
+	})
 
 	// lmi misses free-skip-nullify: one terminal failure opens the cell
 	// at threshold 1.
 	bad := Request{Mechanism: "lmi", Kind: "free-skip-nullify", Seed: 3}
-	res := p.Process(context.Background(), bad)
-	if res.Status != StatusFailed {
-		t.Fatalf("setup failure run = %+v", res)
+	res, err := s.Submit(context.Background(), bad)
+	if err != nil || res.Status != StatusFailed {
+		t.Fatalf("setup failure run = %+v, %v", res, err)
 	}
-	res = p.Process(context.Background(), Request{Mechanism: "lmi", Kind: "control", Seed: 4})
-	if res.Status != StatusRejected || !errors.Is(res.Err, ErrCircuitOpen) {
-		t.Fatalf("request on open cell = %+v, want rejected with ErrCircuitOpen", res)
+	res, err = s.Submit(context.Background(), Request{Mechanism: "lmi", Kind: "control", Seed: 4})
+	if err != nil || res.Status != StatusRejected || !errors.Is(res.Err, ErrCircuitOpen) {
+		t.Fatalf("request on open cell = %+v, %v, want rejected with ErrCircuitOpen", res, err)
 	}
 	if res.Attempts != 0 {
 		t.Fatalf("rejected request still executed %d attempts", res.Attempts)
+	}
+	rep := s.Shutdown(context.Background())
+	if rep.Stats.Rejected != 1 || rep.Stats.Failed != 1 {
+		t.Fatalf("stats = %+v, want 1 failed and 1 rejected", rep.Stats)
+	}
+	var breakers []string
+	sc := bufio.NewScanner(&log)
+	for sc.Scan() {
+		var d fleet.Decision
+		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
+			t.Fatalf("decision record: %v", err)
+		}
+		breakers = append(breakers, d.Status+"/"+d.Breaker)
+	}
+	if strings.Join(breakers, " ") != "failed/open rejected/open" {
+		t.Fatalf("decision records = %v, want the failure and the rejection on an open cell", breakers)
 	}
 }

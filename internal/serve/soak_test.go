@@ -1,48 +1,66 @@
-package serve
+package serve_test
 
 import (
 	"bytes"
 	"context"
 	"testing"
+
+	"lmi/internal/fleet"
+	. "lmi/internal/serve"
 )
 
-// soakCfg is the pinned configuration the soak assertions run against
-// (the same seed scripts/check.sh smokes from the CLI). The seed is
-// re-pinned whenever the chaos kind set grows — the stream generator
-// draws kinds by index, so appending kinds reshuffles the stream and
-// the emergent-dynamics assertions below need a seed where every
-// serving path still fires.
-func soakCfg(workers int) SoakConfig {
-	return SoakConfig{Seed: 2, Requests: 200, Workers: workers}
+// soakCfg is the pinned configuration the soak assertions run against:
+// the single-node soak (one shard, so no shard is ever killed), the same
+// seed scripts/check.sh smokes from the CLI. The seed is re-pinned
+// whenever the chaos kind set grows — the stream generator draws kinds
+// by index, so appending kinds reshuffles the stream and the
+// emergent-dynamics assertions below need a seed where every serving
+// path still fires.
+func soakCfg(workers int) fleet.SoakConfig {
+	return fleet.SoakConfig{Seed: 2, Requests: 200, Shards: 1, Workers: workers}
+}
+
+// soak runs one soak and returns the report, its verbose rendering and
+// its decision log.
+func soak(t *testing.T, cfg fleet.SoakConfig) (*fleet.SoakReport, string, string) {
+	t.Helper()
+	var log, out bytes.Buffer
+	rep, err := fleet.FleetSoak(context.Background(), cfg, &log)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", cfg.Workers, err)
+	}
+	rep.Render(&out, true)
+	return rep, out.String(), log.String()
+}
+
+// firstDiff fails the test at the first byte where two renderings of
+// the same soak diverge.
+func firstDiff(t *testing.T, what, a, b string) {
+	t.Helper()
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			lo := i - 80
+			if lo < 0 {
+				lo = 0
+			}
+			t.Fatalf("%s diverges at byte %d:\nworkers=1: ...%q\nworkers=4: ...%q", what, i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("%s lengths differ: %d vs %d", what, len(a), len(b))
+	}
 }
 
 // TestSoakDeterministicAcrossWorkers is the tentpole guarantee: the
 // rendered soak report — every count, every breaker transition
-// timestamp, every per-request line — is byte-identical whether the
-// precompute pool has one worker or four. Worker count may only change
-// wall-clock time.
+// timestamp, every per-request line — and the decision log are
+// byte-identical whether the precompute pool has one worker or four.
+// Worker count may only change wall-clock time.
 func TestSoakDeterministicAcrossWorkers(t *testing.T) {
-	var bufs [2]bytes.Buffer
-	for i, workers := range []int{1, 4} {
-		rep, err := Soak(context.Background(), soakCfg(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rep.Render(&bufs[i], true)
-	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		a, b := bufs[0].String(), bufs[1].String()
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("report diverges at byte %d:\nworkers=1: ...%q\nworkers=4: ...%q", i, a[lo:i+80], b[lo:i+80])
-			}
-		}
-		t.Fatalf("report lengths differ: %d vs %d", len(a), len(b))
-	}
+	_, out1, log1 := soak(t, soakCfg(1))
+	_, out4, log4 := soak(t, soakCfg(4))
+	firstDiff(t, "report", out1, out4)
+	firstDiff(t, "decision log", log1, log4)
 }
 
 // TestSoakContract asserts the robustness properties of the pinned
@@ -52,10 +70,7 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 // retry exhaustion, terminal failures — and the breaker both opened
 // under a failure burst and recovered through a half-open probe.
 func TestSoakContract(t *testing.T) {
-	rep, err := Soak(context.Background(), soakCfg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _, _ := soak(t, soakCfg(0))
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("robustness contract violated:\n%v", v)
 	}
@@ -97,14 +112,11 @@ func TestSoakContract(t *testing.T) {
 }
 
 // TestSoakEveryFailureTyped spells the per-request error contract out
-// explicitly (Violations covers it, but this is the property the issue
-// names): every non-OK result carries a typed error and a class that
-// matches it, and no engine panic reaches a result.
+// explicitly (Violations covers it, but this is the property the soak
+// exists to hold): every non-OK result carries a typed error and a
+// class that matches it, and no engine panic reaches a result.
 func TestSoakEveryFailureTyped(t *testing.T) {
-	rep, err := Soak(context.Background(), soakCfg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _, _ := soak(t, soakCfg(0))
 	for i, res := range rep.Results {
 		if res.Status == StatusOK {
 			if res.Err != nil {
@@ -116,10 +128,10 @@ func TestSoakEveryFailureTyped(t *testing.T) {
 			t.Errorf("request %d: %s with nil error", i, res.Status)
 			continue
 		}
-		if !typedError(res.Err) {
+		if !fleet.TypedError(res.Err) {
 			t.Errorf("request %d: untyped error %T: %v", i, res.Err, res.Err)
 		}
-		if panicError(res.Err) {
+		if IsPanicError(res.Err) {
 			t.Errorf("request %d: engine panic escaped: %v", i, res.Err)
 		}
 		if res.Class != Classify(res.Err) {
@@ -131,15 +143,9 @@ func TestSoakEveryFailureTyped(t *testing.T) {
 // TestSoakSeedChangesStream: different seeds draw genuinely different
 // streams (guards against the generator ignoring its seed).
 func TestSoakSeedChangesStream(t *testing.T) {
-	var bufs [2]bytes.Buffer
-	for i, seed := range []uint64{1, 2} {
-		rep, err := Soak(context.Background(), SoakConfig{Seed: seed, Requests: 50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Render(&bufs[i], true)
-	}
-	if bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+	_, a, _ := soak(t, fleet.SoakConfig{Seed: 1, Requests: 50, Shards: 1})
+	_, b, _ := soak(t, fleet.SoakConfig{Seed: 2, Requests: 50, Shards: 1})
+	if a == b {
 		t.Fatalf("seeds 1 and 2 rendered identical reports; the stream ignores its seed")
 	}
 }
