@@ -18,11 +18,12 @@ race:
 
 # Static verification of the LMI microcode contract over every lowered
 # kernel, plus the custom vet pass (no raw panic(, os.Exit(, ambient
-# clock read, or math/rand import in non-test code under internal/).
-# Both are also part of the check gate.
+# clock read, or math/rand import in non-test code under internal/) and
+# the unused-export scan. All are also part of the check gate.
 lint:
 	$(GO) run ./cmd/lmi-lint -all
 	$(GO) run ./scripts/vetnopanic
+	$(GO) run ./scripts/deadexports
 
 # The full static-analysis gate: the microcode contract over the whole
 # corpus plus the elide soundness audit — every workload recompiled with
@@ -64,14 +65,17 @@ check:
 check-short:
 	scripts/check.sh -short
 
-# The hardened simulation service (POST /run, GET /healthz /readyz
-# /stats; graceful drain on SIGTERM with a JSON shutdown report).
+# The hardened simulation service: the fleet coordinator with one shard
+# (POST /run /reload, GET /healthz /readyz /stats; graceful drain on
+# SIGTERM with a JSON shutdown report).
 serve:
 	$(GO) run ./cmd/lmi-serve -addr :8080
 
-# The chaos soak: a seeded request stream replayed through the serving
-# state machines on a virtual timeline; nonzero exit on any robustness
-# violation (also part of the check gate).
+# The chaos soak: the fleet soak with one shard — a seeded request
+# stream replayed through the single-node serving core on a virtual
+# timeline; nonzero exit on any robustness violation (also part of the
+# check gate, where the report and decision log must be byte-identical
+# across worker counts).
 soak:
 	$(GO) run ./cmd/lmi-serve -soak -v
 

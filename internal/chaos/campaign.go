@@ -166,11 +166,6 @@ func (inj *Injector) launchTier(ctx context.Context, dev *sim.Device, p *isa.Pro
 	return c.LaunchCtx(ctx, dev, gridDim, blockDim, params)
 }
 
-// CacheStats snapshots the compiled-tier cache counters (operational
-// telemetry; interleaving-dependent, never folded into byte-compared
-// reports).
-func (inj *Injector) CacheStats() fastsim.CacheStats { return inj.cache.Stats() }
-
 // NewInjector compiles the victim kernels for the named mechanisms
 // (nil or empty runs all of lmi, lmi+track, baggybounds, gpushield).
 func NewInjector(mechs []string) (*Injector, error) {

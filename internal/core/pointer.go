@@ -21,9 +21,6 @@ const (
 	// headroom for future address-space growth (§IV-B2).
 	AddrMask = (uint64(1) << ExtentShift) - 1
 
-	// ExtentMask selects the extent field of a pointer.
-	ExtentMask = ^AddrMask
-
 	// DefaultMinShift is log2 of the default minimum allocation size K.
 	// K = 256 bytes, "leveraging the default 256-byte GPU allocation size"
 	// (§V-A1).
@@ -126,16 +123,6 @@ func (c Codec) SizeForExtent(e Extent) uint64 {
 		return 0
 	}
 	return uint64(1) << (c.MinShift + uint(e) - 1)
-}
-
-// RoundSize rounds a requested size up to its 2^n size class, the amount of
-// memory the LMI allocator actually reserves.
-func (c Codec) RoundSize(size uint64) (uint64, error) {
-	e, err := c.ExtentForSize(size)
-	if err != nil {
-		return 0, err
-	}
-	return c.SizeForExtent(e), nil
 }
 
 // ModifiableMask returns the mask of pointer bits that intra-buffer

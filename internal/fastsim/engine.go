@@ -158,13 +158,9 @@ type engine struct {
 	traceEv sim.TraceEvent
 }
 
-// Launch runs the compiled kernel to completion with a 1-D grid.
-func (c *Compiled) Launch(dev *sim.Device, gridDim, blockDim int, params []uint64) (*sim.KernelStats, error) {
-	return c.Launch2DCtx(context.Background(), dev, gridDim, 1, blockDim, 1, params)
-}
-
-// LaunchCtx is Launch bounded by a context: cancellation is observed at
-// the instruction-polling cadence and aborts with a *sim.ContextError,
+// LaunchCtx runs the compiled kernel to completion with a 1-D grid,
+// bounded by a context: cancellation is observed at the
+// instruction-polling cadence and aborts with a *sim.ContextError,
 // exactly like the cycle tier.
 func (c *Compiled) LaunchCtx(ctx context.Context, dev *sim.Device, gridDim, blockDim int, params []uint64) (*sim.KernelStats, error) {
 	return c.Launch2DCtx(ctx, dev, gridDim, 1, blockDim, 1, params)

@@ -54,9 +54,6 @@ func NewRing(shards, replicas int) *Ring {
 	return r
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
-
 // Owner returns the alive shard owning hash h: the first point at or
 // clockwise from h whose shard is alive. alive[i] reports shard i's
 // liveness; -1 when no shard is alive.

@@ -27,9 +27,6 @@ func NewBuilder(name string) *Builder {
 // Block returns the current insertion block.
 func (b *Builder) Block() *Block { return b.cur }
 
-// SetBlock moves the insertion point.
-func (b *Builder) SetBlock(blk *Block) { b.cur = blk }
-
 func (b *Builder) emit(in Instr) Value {
 	b.cur.Instrs = append(b.cur.Instrs, in)
 	return in.Dst

@@ -187,10 +187,6 @@ type Func struct {
 	buildErr error
 }
 
-// BuildErr returns the deferred construction error recorded by
-// Builder.Finalize, or nil.
-func (f *Func) BuildErr() error { return f.buildErr }
-
 // NewFunc creates an empty function.
 func NewFunc(name string) *Func { return &Func{Name: name} }
 

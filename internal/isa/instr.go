@@ -14,9 +14,6 @@ type Reg uint8
 // RZ is the hardwired zero register.
 const RZ Reg = 255
 
-// MaxRegs is the number of allocatable registers per thread (R0..R254).
-const MaxRegs = 255
-
 // String returns the register name.
 func (r Reg) String() string {
 	if r == RZ {

@@ -137,15 +137,6 @@ func (c *Certificate) Digest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// DecodeCertificate parses canonical certificate bytes.
-func DecodeCertificate(data []byte) (*Certificate, error) {
-	var c Certificate
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("peval: decode certificate: %w", err)
-	}
-	return &c, nil
-}
-
 // cloneProgram deep-copies a program's instruction stream (the scalar
 // metadata copies by value; slices the evaluator never mutates are
 // shared).

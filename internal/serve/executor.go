@@ -104,9 +104,6 @@ func NewExecutorTier(sms int, tier fastsim.Tier) (*Executor, error) {
 // before the executor starts taking requests.
 func (e *Executor) SetSpecialize(on bool) { e.specialize = on }
 
-// Specializing reports whether residual serving is enabled.
-func (e *Executor) Specializing() bool { return e.specialize }
-
 // SetBundle installs a verified bundle as the serving program table.
 // On the compiled tier every entry is brought up (compiled through the
 // digest-keyed cache) before the swap — a bring-up failure leaves the
@@ -144,10 +141,6 @@ func (e *Executor) SetBundle(v *bundle.Verified) error {
 	e.cache.RetainDigests(nil)
 	return nil
 }
-
-// Bundle returns the serving program table (nil when not
-// bundle-backed).
-func (e *Executor) Bundle() *bundle.Verified { return e.table.Load() }
 
 // BundleDigest returns the serving bundle digest ("" when not
 // bundle-backed).

@@ -101,10 +101,6 @@ func (d *Device) Free(ptr uint64) (err error) {
 	return d.galloc.Free(d.Mech.UntagFree(ptr, isa.SpaceGlobal))
 }
 
-// GlobalAllocator exposes the device's global allocator (used by
-// region-based mechanisms that need the live-buffer table).
-func (d *Device) GlobalAllocator() *alloc.GlobalAllocator { return d.galloc }
-
 // Heap exposes the device heap.
 func (d *Device) Heap() *alloc.DeviceHeap { return d.heap }
 

@@ -46,10 +46,6 @@ type Event struct {
 	Addrs []uint64
 }
 
-// Space returns the memory space the event accesses (SpaceNone for
-// non-memory events).
-func (e *Event) Space() isa.Space { return e.Op.MemSpace() }
-
 const (
 	magic   = "LMITRACE"
 	version = 1

@@ -37,6 +37,19 @@ go vet ./...
 echo "== vetnopanic"
 go run ./scripts/vetnopanic
 
+# Unused-export scan: every exported identifier and method of the
+# module must have a non-test caller (perfbench's included), or an
+# entry in scripts/deadexports's in-source allowlist naming the test
+# that needs it. A stale allowlist entry fails too.
+echo "== deadexports"
+go run ./scripts/deadexports
+
+# perfbench is its own module (it imports the serving and bundle
+# packages), so ./... above never compiles it. Vet and test it here; the
+# step writes nothing under perfbench/.
+echo "== perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go build ./..."
 go build ./...
 
@@ -138,15 +151,20 @@ go run ./cmd/lmi-bench -all -tier compiled -jobs 4 > "$tmpdir/bench-compiled-j4.
 cmp "$tmpdir/bench-compiled-j1.txt" "$tmpdir/bench-compiled-j4.txt"
 
 # Serving soak smoke: 200 seeded chaos requests replayed through the
-# serving state machines (admission queue, classified retries, circuit
-# breaker) on the virtual timeline. The soak itself exits nonzero on
-# any robustness violation (untyped per-request error, missing result,
-# escaped panic), and the verbose report — every count, timestamp, and
-# per-request line — must be byte-identical across worker counts.
+# single-node (one-shard) serving core — admission queue and fleet
+# budget, classified retries, circuit breaker, signed-bundle reloads —
+# on the virtual timeline. The soak itself exits nonzero on any
+# robustness violation (untyped per-request error, missing result,
+# escaped panic, missing decision record), and both the verbose report
+# — every count, timestamp, and per-request line — and the decision log
+# must be byte-identical across worker counts.
 echo "== serving soak smoke (-jobs 1 vs -jobs 4)"
-go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 1 -v > "$tmpdir/soak-j1.txt"
-go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 4 -v > "$tmpdir/soak-j4.txt"
+go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 1 -v \
+    -decision-log "$tmpdir/soak-j1.jsonl" > "$tmpdir/soak-j1.txt"
+go run ./cmd/lmi-serve -soak -seed 2 -requests 200 -jobs 4 -v \
+    -decision-log "$tmpdir/soak-j4.jsonl" > "$tmpdir/soak-j4.txt"
 cmp "$tmpdir/soak-j1.txt" "$tmpdir/soak-j4.txt"
+cmp "$tmpdir/soak-j1.jsonl" "$tmpdir/soak-j4.jsonl"
 
 # Fleet soak gate: 100000 seeded requests sharded across 4 simulated
 # device workers under scripted shard kills, rejoins, and burst
