@@ -32,7 +32,7 @@ const (
 	IADD3 // Rd = Ra + Rb + (Rc | imm)
 	IMUL  // Rd = Ra * (Rb | imm)
 	IMAD  // Rd = Ra * Rb + (Rc | imm)
-	IMNMX // Rd = min(Ra, Rb|imm) if Aux==0 else max
+	IMNMX // Rd = max(Ra, Rb|imm) if Aux bit 0 is set, else min
 	SHL   // Rd = Ra << (Rb | imm)
 	SHR   // Rd = Ra >> (Rb | imm) (logical)
 	AND   // Rd = Ra & (Rb | imm)

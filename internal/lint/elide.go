@@ -646,7 +646,7 @@ func (a *auditor) transfer(i int, st *eState) {
 	case isa.IMAD:
 		v = addVals(mulVals(opv(0), opv(1)), opv(2))
 	case isa.IMNMX:
-		if in.Aux == 1 {
+		if in.IsMax() {
 			v = maxVals(opv(0), opv(1))
 		} else {
 			v = minVals(opv(0), opv(1))

@@ -876,7 +876,7 @@ func (ax *analysis) eval(st *state, in *isa.Instr) (rval, bool) {
 		}
 		fa, fb := ax.fullRange(a), ax.fullRange(b)
 		var iv bounds.Interval
-		if in.Aux == 1 { // Aux 1 = max (exec.go)
+		if in.IsMax() {
 			iv = fa.Max(fb)
 		} else {
 			iv = fa.Min(fb)
