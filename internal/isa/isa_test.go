@@ -390,3 +390,22 @@ func TestInstrStringForms(t *testing.T) {
 		}
 	}
 }
+
+// TestConvertHasNoImmSlot pins that F2I and I2F read their register even
+// in the immediate form: both execution tiers route the operand through
+// ImmSrcIndex, so SrcRegs must report the register as read and String
+// must print it.
+func TestConvertHasNoImmSlot(t *testing.T) {
+	for _, op := range []Opcode{F2I, I2F} {
+		in := Instr{Op: op, Dst: 1, Src: [3]Reg{4, RZ, RZ}, HasImm: true, Imm: 9, Pred: PT}
+		if got := op.ImmSrcIndex(); got != -1 {
+			t.Errorf("%s: ImmSrcIndex = %d, want -1", op, got)
+		}
+		if got := in.SrcRegs(nil); len(got) != 1 || got[0] != 4 {
+			t.Errorf("%s: SrcRegs = %v, want [R4]", op, got)
+		}
+		if s := in.String(); !strings.HasSuffix(s, "R1, R4") {
+			t.Errorf("%s: String = %q, want the register operand", op, s)
+		}
+	}
+}
