@@ -34,7 +34,7 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 	size := in.AccSize()
 	isStore := op.IsStore()
 	addr, data, dst := cc.reg(in.Src[0]), cc.reg(in.Src[1]), cc.dst(in)
-	off := sx32(in.Imm)
+	off := isa.Sx32(in.Imm)
 	hintE := in.Hint.E
 	signExt := in.SignExtend() && size == 4
 	access := accessLoop(op, size, signExt)
@@ -347,7 +347,7 @@ func (e *engine) lineCount(lanes uint32, addrs *[32]uint64, size uint64) uint64 
 // the loaded value.
 func loadValue(v uint64, signExt bool) uint64 {
 	if signExt {
-		return sx32(int32(uint32(v)))
+		return isa.Sx32(int32(uint32(v)))
 	}
 	return v
 }

@@ -312,7 +312,14 @@ func (ip *Interp) exec(ts *threadState, in *Instr, shared *mem.AddrSpace,
 			set(bitsOf(float32(int64(arg(0)))))
 		}
 	case OpF2I:
-		set(uint64(uint32(int32(f32Of(arg(0))))))
+		// Truncation toward zero. Go leaves the conversion of NaN and of
+		// values outside the int32 range to the host; pin them to
+		// math.MinInt32, as x86's cvttss2si produces.
+		x, v := float64(f32Of(arg(0))), int32(math.MinInt32)
+		if math.Abs(x) < 1<<31 {
+			v = int32(x)
+		}
+		set(uint64(uint32(v)))
 	case OpICmp:
 		var a, b int64
 		if f.TypeOf(in.Args[0]).Kind == KindI32 {

@@ -211,10 +211,12 @@ type launch struct {
 	free []*blockCtx
 
 	// imm is each instruction's broadcast row of its immediate operand
-	// (see immRows), zero the row RZ reads, and res the scratch result
-	// row of an ALU op that commits only some lanes (and the discard
-	// row of RZ loads).
+	// (see immRows) and alu its resolved ALU semantics, both indexed by
+	// pc; zero is the row RZ reads, and res the scratch result row of an
+	// ALU op that commits only some lanes (and the discard row of RZ
+	// loads).
 	imm  []*[32]uint64
+	alu  []isa.ALU
 	zero [32]uint64
 	res  [32]uint64
 	// lineShift is log2 of the cache line size.
@@ -314,6 +316,10 @@ func (d *Device) Launch2DCtx(ctx context.Context, p *isa.Program, gridX, gridY, 
 	}
 	ls.lineShift = uint(bits.TrailingZeros64(d.Cfg.LineSize))
 	ls.imm = immRows(p)
+	ls.alu = make([]isa.ALU, len(p.Instrs))
+	for pc := range p.Instrs {
+		ls.alu[pc] = p.Instrs[pc].ALU()
+	}
 	if d.Cfg.RaceOracle {
 		ls.race = NewRaceOracle()
 	}
@@ -367,7 +373,7 @@ func immRows(p *isa.Program) []*[32]uint64 {
 		if in := &p.Instrs[pc]; in.HasImm && in.Op.ImmSrcIndex() >= 0 {
 			r := new([32]uint64)
 			for l := range r {
-				r[l] = sx32(in.Imm)
+				r[l] = isa.Sx32(in.Imm)
 			}
 			imm[pc] = r
 		}

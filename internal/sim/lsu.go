@@ -76,7 +76,7 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 	isAtom := in.Op == isa.ATOMG || in.Op == isa.ATOMS
 	signExt := in.SignExtend() && size == 4
 	shift := ls.lineShift
-	off := sx32(in.Imm)
+	off := isa.Sx32(in.Imm)
 
 	// Safety checks. Coalescing is judged on raw (possibly tagged)
 	// pointer lines over every exec lane: tag bits are constant within
@@ -242,7 +242,7 @@ func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc i
 // the loaded value.
 func loadValue(v uint64, signExt bool) uint64 {
 	if signExt {
-		return sx32(int32(uint32(v)))
+		return isa.Sx32(int32(uint32(v)))
 	}
 	return v
 }
