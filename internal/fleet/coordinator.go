@@ -123,7 +123,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	draining bool
 	stats    serve.Stats
-	executed []ShardSummary
+	executed []LiveShard
 	seq      int
 
 	// reloadMu serializes Reload; verification and per-shard bring-up
@@ -158,7 +158,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		shards:   make([]*liveShard, cfg.Shards),
 		sink:     NewSink(logW, cfg.LogBuffer),
 		start:    time.Now(),
-		executed: make([]ShardSummary, cfg.Shards),
+		executed: make([]LiveShard, cfg.Shards),
 	}
 	for i, exec := range execs {
 		c.alive[i] = true
@@ -346,11 +346,18 @@ func (c *Coordinator) BundleDigest() string {
 	return c.serving.Digest()
 }
 
+// LiveShard is one shard's line in /stats and in the shutdown report.
+// The live fleet never loses a shard, so unlike the soak's ShardSummary
+// it carries no requeue or kill counts.
+type LiveShard struct {
+	Executed int `json:"executed"`
+}
+
 // ShutdownReport is the JSON document flushed on graceful drain.
 type ShutdownReport struct {
 	Uptime      time.Duration                   `json:"uptime_ns"`
 	Stats       serve.Stats                     `json:"stats"`
-	Shards      []ShardSummary                  `json:"shards"`
+	Shards      []LiveShard                     `json:"shards"`
 	Breakers    []map[string]serve.BreakerState `json:"breakers"`
 	Transitions []ShardTransition               `json:"breaker_transitions"`
 	Decisions   SinkStats                       `json:"decisions"`
@@ -390,7 +397,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) ShutdownReport {
 
 // snapshot copies the fleet counters, the per-shard summaries, and
 // each shard's breaker cells.
-func (c *Coordinator) snapshot() (serve.Stats, []ShardSummary, []map[string]serve.BreakerState) {
+func (c *Coordinator) snapshot() (serve.Stats, []LiveShard, []map[string]serve.BreakerState) {
 	breakers := make([]map[string]serve.BreakerState, len(c.shards))
 	for i, sh := range c.shards {
 		breakers[i] = sh.proc.Brk.Snapshot()
@@ -399,7 +406,7 @@ func (c *Coordinator) snapshot() (serve.Stats, []ShardSummary, []map[string]serv
 	defer c.mu.Unlock()
 	st := c.stats
 	st.Depth = c.depth()
-	return st, append([]ShardSummary(nil), c.executed...), breakers
+	return st, append([]LiveShard(nil), c.executed...), breakers
 }
 
 // Stats snapshots the fleet counters.
@@ -453,7 +460,7 @@ func (c *Coordinator) Handler() http.Handler {
 			ReloadCount      uint64                          `json:"reload_count,omitempty"`
 			LastReloadStatus string                          `json:"last_reload_status,omitempty"`
 			Stats            serve.Stats                     `json:"stats"`
-			Shards           []ShardSummary                  `json:"shards"`
+			Shards           []LiveShard                     `json:"shards"`
 			Breakers         []map[string]serve.BreakerState `json:"breakers"`
 			Decisions        SinkStats                       `json:"decisions"`
 		}{time.Since(c.start), runner.TierLabel(c.cfg.Tier), draining,
