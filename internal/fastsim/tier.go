@@ -4,11 +4,12 @@
 // compile time — operand routing (register vs immediate form, RZ
 // hardwiring) resolves every operand to a row of the register-major
 // warp register file via the ISA's ImmSrcIndex/WritesDst tables, so an
-// ALU instruction runs as one loop over 32 lanes — and the extent-check
-// predicate is hoisted out of the access path using the E/A/S microcode
-// hint bits (bits 29/28/27): an E-hinted access compiles to the elided
-// (canonicalise-only) closure, an A-hinted integer op to the
-// OCU-checked closure, and everything else to the plain closure.
+// ALU instruction runs its isa kernel (shared with the cycle simulator)
+// over 32 lanes — and the extent-check predicate is hoisted out of the
+// access path using the E/A/S microcode hint bits (bits 29/28/27): an
+// E-hinted access compiles to the elided (canonicalise-only) closure, an
+// A-hinted integer op to the OCU-checked closure, and everything else to
+// the plain closure.
 //
 // The cycle-level simulator (internal/sim) remains the semantic oracle
 // and the only timing model. The compiled tier reproduces the

@@ -144,7 +144,12 @@ cmp "$tmpdir/peval-j1.json" BENCH_fig12_peval.json
 # on the same deterministic runner pool. (The tier's bit-for-bit
 # equivalence with the cycle simulator over the whole corpus is the
 # differential gate inside `go test`: internal/fastsim and
-# internal/chaos TestTierDifferential*.)
+# internal/chaos TestTierDifferential*. Both tiers run the same ALU
+# kernels from internal/isa/alu.go, so that gate covers operand routing,
+# commit, scheduling, memory and hooks; what each ALU opcode computes is
+# checked against the IR interpreter by internal/sim
+# TestDifferentialFuzz and against hand-written values by internal/isa
+# TestALUEdgeValues.)
 echo "== compiled-tier determinism smoke (-jobs 1 vs -jobs 4)"
 go run ./cmd/lmi-bench -all -tier compiled -jobs 1 > "$tmpdir/bench-compiled-j1.txt"
 go run ./cmd/lmi-bench -all -tier compiled -jobs 4 > "$tmpdir/bench-compiled-j4.txt"
