@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lmi/internal/compiler"
+	"lmi/internal/fastsim"
 	"lmi/internal/isa"
 	"lmi/internal/sim"
 	"lmi/internal/workloads"
@@ -85,8 +86,9 @@ func operandKernel(name string, test isa.Instr) *isa.Program {
 }
 
 // operandCases builds the table: every non-memory opcode in every
-// source form (all registers; the immediate form; RZ in the operand the
-// immediate would replace, or Src[0] when there is none), with a
+// source form (all registers; the immediate form, for the opcodes that
+// have one; RZ in the operand the immediate would replace, or Src[0]
+// when there is none), with a
 // register or RZ destination, 32- or 64-bit width, and an unconditional
 // guard, a guard true on some lanes, or a guard true on none. SETP and
 // FSETP write a predicate, so their destination axis is the comparison
@@ -132,6 +134,9 @@ func operandCases() []operandCase {
 	}
 	for _, s := range specs {
 		for _, form := range forms {
+			if form == "imm" && s.op.ImmSrcIndex() < 0 {
+				continue // no immediate form (TestNoImmediateFormRejected)
+			}
 			src := [3]isa.Reg{2, 3, 4}
 			if s.fp {
 				src = [3]isa.Reg{5, 6, 7}
@@ -192,6 +197,33 @@ func TestCompiledOperandForms(t *testing.T) {
 		diffFunctional(t, c.name, cycle, fast)
 		if cycle.Halted || len(cycle.Faults) != 0 {
 			t.Fatalf("%s: unexpected halt/faults: %v", c.name, cycle.Faults)
+		}
+	}
+}
+
+// TestNoImmediateFormRejected pins that an opcode without an immediate
+// operand (ImmSrcIndex -1) has no immediate form: Validate rejects the
+// instruction, and CompileWords rejects the microcode word that carries
+// the immediate bit, so no tier can run an immediate it would ignore.
+func TestNoImmediateFormRejected(t *testing.T) {
+	for _, op := range []isa.Opcode{isa.MUFU, isa.F2I, isa.I2F} {
+		in := isa.Instr{Op: op, Dst: opDst, Src: [3]isa.Reg{5, 6, 7}, Pred: isa.PT}
+		p := operandKernel(op.String(), in)
+		words, err := isa.EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("%s: register form: %v", op, err)
+		}
+		in.HasImm, in.Imm = true, -0x7654321
+		if err := in.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the immediate form", op)
+		}
+		pc := len(p.Instrs) - 7 // the instruction under test
+		if p.Instrs[pc].Op != op || p.Instrs[pc].Dst != opDst {
+			t.Fatalf("%s: pc %d holds %s", op, pc, &p.Instrs[pc])
+		}
+		words[pc].Lo |= 1 << 20 // the HasImm bit
+		if _, err := fastsim.CompileWords(p, words); err == nil {
+			t.Errorf("%s: CompileWords accepted the immediate form", op)
 		}
 	}
 }

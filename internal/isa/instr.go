@@ -264,6 +264,11 @@ func (in *Instr) Validate() error {
 	if in.Aux >= 32 {
 		return fmt.Errorf("isa: %s: aux %d exceeds 5-bit field", in.Op, in.Aux)
 	}
+	// The immediate form replaces the operand ImmSrcIndex names; on an
+	// opcode without one, no tier would read the immediate.
+	if in.HasImm && in.Op.ImmSrcIndex() < 0 {
+		return fmt.Errorf("isa: %s: immediate form on an opcode without an immediate operand", in.Op)
+	}
 	switch in.Op {
 	case BRA, SSY:
 		if in.Target < 0 {
