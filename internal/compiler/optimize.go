@@ -25,12 +25,12 @@ func Optimize(p *isa.Program) *isa.Program {
 	return removeDeadMoves(q)
 }
 
-// foldable maps opcodes to the source-operand index the immediate form
-// replaces.
-var foldable = map[isa.Opcode]int{
-	isa.IADD: 1, isa.IMUL: 1, isa.IMNMX: 1, isa.SHL: 1, isa.SHR: 1,
-	isa.AND: 1, isa.OR: 1, isa.XOR: 1, isa.SETP: 1, isa.SEL: 1,
-	isa.IADD3: 2, isa.FADD: 1, isa.FMUL: 1, isa.FFMA: 2, isa.FSETP: 1,
+// foldable returns the source-operand index the immediate form of op
+// replaces (isa's ImmSrcIndex), and false for opcodes without one and
+// for MOV, whose immediate form is the definition being folded.
+func foldable(op isa.Opcode) (int, bool) {
+	i := op.ImmSrcIndex()
+	return i, i >= 0 && op != isa.MOV
 }
 
 // foldImmediates rewrites operands into immediate forms when the
@@ -55,7 +55,7 @@ func foldImmediates(p *isa.Program) *isa.Program {
 		in := &out[i]
 		// Fold this instruction's immediate-capable operand first (using
 		// definitions reaching from above).
-		if srcIdx, ok := foldable[in.Op]; ok && !in.HasImm &&
+		if srcIdx, ok := foldable(in.Op); ok && !in.HasImm &&
 			!(in.Hint.A && in.Hint.PointerOperand() == srcIdx) {
 			if r := in.Src[srcIdx]; r != isa.RZ {
 				if d, ok := reach[r]; ok && d.ok {
