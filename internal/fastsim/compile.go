@@ -11,8 +11,7 @@ import (
 // opFn is one compiled instruction: it executes the instruction for a
 // warp given the block-entry active mask and returns the exec mask
 // (active lanes whose guard predicate held), which the engine uses for
-// tracing. Closures update engine statistics exactly the way the cycle
-// simulator's issue path does.
+// tracing.
 type opFn func(e *engine, w *fwarp, active uint32) uint32
 
 // guard is an instruction's compiled guard predicate: the predicate
@@ -218,15 +217,15 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 		// SYNC is a no-op: reconvergence is driven by the rpc check.
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
+			e.Count(exec)
 			return exec
 		}, nil
 	case isa.SSY:
 		target := in.Target
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
-			w.pendingSSY = target
+			e.Count(exec)
+			w.SSY(target)
 			return exec
 		}, nil
 	case isa.MOV, isa.IADD, isa.IADD3, isa.IMUL, isa.IMAD, isa.IMNMX, isa.SHL, isa.SHR,
@@ -239,7 +238,7 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 		k := in.ALU()
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
+			e.Count(exec)
 			w.preds[pd] = w.preds[pd]&^exec | k.Set(w.row(a), w.row(b))&exec
 			return exec
 		}, nil
@@ -248,12 +247,8 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 		d := cc.dst(in)
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
-			dr := w.row(d)
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				dr[lane] = e.specialReg(w, lane, sr)
-			}
+			e.Count(exec)
+			e.SpecialReg(w.row(d), exec, sr, e.ctaid, w.warpIdx, e.smID)
 			return exec
 		}, nil
 	case isa.LDC:
@@ -262,14 +257,14 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 		size := in.AccSize()
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
+			e.Count(exec)
 			if exec != 0 {
 				// LDC counts as a memory instruction (it is IsMemory) but,
 				// like the cycle simulator, does not reset the no-progress
 				// watchdog.
-				e.memInstrs[isa.LDC]++
+				e.MemInstrs[isa.LDC]++
 			}
-			cw := mem.NewPageWin(e.cbank)
+			cw := mem.NewPageWin(e.CBank)
 			ar, dr := w.row(a), w.row(d)
 			for m := exec; m != 0; m &= m - 1 {
 				lane := bits.TrailingZeros32(m)
@@ -285,12 +280,8 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 		imm := in.Imm
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
-			if exec != 0 {
-				// One record per warp instruction suffices, attributed to
-				// the lowest executing lane.
-				e.trap(pc, w, bits.TrailingZeros32(exec), imm)
-			}
+			e.Count(exec)
+			e.Trap(imm, exec, e.at(pc, w))
 			return exec
 		}, nil
 	default:
@@ -316,7 +307,7 @@ func (cc *compiler) aluClosure(in *isa.Instr, g guard) opFn {
 	if !in.Hint.A {
 		return func(e *engine, w *fwarp, active uint32) uint32 {
 			exec := g.exec(w, active)
-			e.count(exec)
+			e.Count(exec)
 			dr := w.row(d)
 			if exec == ^uint32(0) {
 				// Every lane commits, so compute straight into the
@@ -345,11 +336,11 @@ func (cc *compiler) aluClosure(in *isa.Instr, g guard) opFn {
 	ptr := cc.reg(in.Src[in.Hint.PointerOperand()])
 	return func(e *engine, w *fwarp, active uint32) uint32 {
 		exec := g.exec(w, active)
-		e.count(exec)
+		e.Count(exec)
 		// Every executing lane runs exactly one pointer check
 		// (CheckPointerOp cannot fault), so the counter hoists out of
 		// the lane loop.
-		e.stats.PointerChecks += uint64(bits.OnesCount32(exec))
+		e.Stats.PointerChecks += uint64(bits.OnesCount32(exec))
 		res := &e.res
 		fn(res, w.row(a), w.row(b), w.row(c), w.preds[sel])
 		pr, dr := w.row(ptr), w.row(d)

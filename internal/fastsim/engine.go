@@ -3,22 +3,12 @@ package fastsim
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 
-	"lmi/internal/alloc"
-	"lmi/internal/core"
 	"lmi/internal/isa"
 	"lmi/internal/mem"
 	"lmi/internal/sim"
 )
-
-// simtEntry is one SIMT reconvergence-stack entry (identical to the
-// cycle simulator's).
-type simtEntry struct {
-	pc, rpc int32
-	mask    uint32
-}
 
 // fwarp is one warp's functional execution state on the compiled tier.
 // An engine keeps one fwarp per warp slot of a block and reuses it,
@@ -40,9 +30,7 @@ type fwarp struct {
 	// local access and reset, not dropped, for every block.
 	locals []*mem.AddrSpace
 
-	stack      []simtEntry
-	pendingSSY int32
-	exited     uint32
+	sim.SIMT
 
 	atBarrier bool
 	done      bool
@@ -76,72 +64,30 @@ func (w *fwarp) local(lane int) *mem.AddrSpace {
 	return lm
 }
 
-// syncTop pops reconverged or fully-exited stack entries and reports
-// whether the warp still has work (mirrors the cycle simulator).
-func (w *fwarp) syncTop() bool {
-	for {
-		if len(w.stack) == 0 {
-			w.done = true
-			return false
-		}
-		top := &w.stack[len(w.stack)-1]
-		if top.mask&^w.exited == 0 {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		if len(w.stack) > 1 && top.pc == top.rpc {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		return true
-	}
-}
-
-// engine is the transient state of one compiled-tier kernel execution.
+// engine is the transient state of one compiled-tier kernel execution:
+// the state both tiers share plus the compiled tier's own.
 type engine struct {
+	sim.Exec
 	ctx      context.Context
 	ctxArmed bool
-	dev      *sim.Device
 	c        *Compiled
 	cfg      *sim.Config
 	mech     sim.Mechanism
 	global   *mem.AddrSpace
 	shared   *mem.AddrSpace // the current block's, reset for every block
-	heap     *alloc.DeviceHeap
-	cbank    *mem.AddrSpace
-	tracer   sim.Tracer
 
-	grid, bdim, gridX, bdimX int
-	ctaid                    int
-	smID                     int
+	ctaid int
+	smID  int
 
-	stats  sim.KernelStats
-	halted bool
-	runErr error
-
-	// race is the launch's dynamic race oracle and shadow the current
-	// block's per-epoch state (nil when Config.RaceOracle is off).
-	// Closures are cached across launches, so the memory closure branches
-	// on shadow at run time rather than compile time.
-	race   *sim.RaceOracle
+	// shadow is the current block's race-oracle state (nil when
+	// Config.RaceOracle is off). Closures are cached across launches, so
+	// the memory closure branches on it at run time rather than compile
+	// time.
 	shadow *sim.BlockShadow
 
 	noProg    uint64 // watchdog no-progress bound (instructions)
 	maxInstrs uint64 // per-warp instruction budget (MaxCycles analogue)
 	tick      uint64 // global instruction counter for ctx polling
-
-	// memInstrs is the per-opcode executed-memory-instruction counter,
-	// array-backed so the hot path avoids a map update per warp memory
-	// instruction; it is folded into stats.MemInstrs once at launch end.
-	memInstrs [256]uint64
-
-	// acc is the warp memory instruction handed to the mechanism's LSU
-	// hook, lines the transaction-line set of its timing estimate, and
-	// lineShift log2 of the cache line size (validated as a power of two
-	// at device creation).
-	acc       sim.WarpAccess
-	lines     [64]uint64
-	lineShift uint
 
 	// blockBase is the current block's SM-timeline offset; smTime
 	// accumulates per-SM block time for the Cycles estimate.
@@ -154,82 +100,40 @@ type engine struct {
 	// res is the ALU result row of a warp instruction that commits only
 	// some of its lanes (see aluClosure).
 	res [32]uint64
-
-	traceEv sim.TraceEvent
 }
 
 // LaunchCtx runs the compiled kernel to completion with a 1-D grid,
 // bounded by a context: cancellation is observed at the
 // instruction-polling cadence and aborts with a *sim.ContextError,
-// exactly like the cycle tier.
-func (c *Compiled) LaunchCtx(ctx context.Context, dev *sim.Device, gridDim, blockDim int, params []uint64) (*sim.KernelStats, error) {
-	return c.Launch2DCtx(ctx, dev, gridDim, 1, blockDim, 1, params)
-}
-
-// Launch2DCtx runs the compiled kernel with a 2-D grid and 2-D blocks,
-// mirroring the cycle simulator's launch prelude (validation, dimension
-// checks, mechanism reset, constant-bank image) and its fault/halt/
-// error semantics. Blocks execute sequentially in ctaid order and warps
-// within a block round-robin between barrier segments, which preserves
-// the functional projection of the launch; only the timing-model fields
-// of KernelStats (Cycles, L1/L2/DRAM, fault cycle stamps) differ from
-// the cycle tier.
-func (c *Compiled) Launch2DCtx(ctx context.Context, dev *sim.Device, gridX, gridY, blockX, blockY int, params []uint64) (st *sim.KernelStats, err error) {
+// exactly like the cycle tier. Blocks execute sequentially in ctaid
+// order and warps within a block round-robin between barrier segments,
+// which preserves the functional projection of the launch; only the
+// timing-model fields of KernelStats (Cycles, L1/L2/DRAM, fault cycle
+// stamps) differ from the cycle tier.
+func (c *Compiled) LaunchCtx(ctx context.Context, dev *sim.Device, gridDim, blockDim int, params []uint64) (st *sim.KernelStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			st, err = nil, &sim.PanicError{Op: "Launch", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	p := c.prog
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if gridX <= 0 || gridY <= 0 || blockX <= 0 || blockY <= 0 {
-		return nil, fmt.Errorf("fastsim: bad launch dimensions (%d,%d) x (%d,%d)", gridX, gridY, blockX, blockY)
-	}
-	gridDim, blockDim := gridX*gridY, blockX*blockY
-	if blockDim > 1024 {
-		return nil, fmt.Errorf("fastsim: block %d x %d exceeds 1024 threads", blockX, blockY)
-	}
-	if len(params) < p.NumParams {
-		return nil, fmt.Errorf("fastsim: kernel %s expects %d params, got %d", p.Name, p.NumParams, len(params))
-	}
-	dev.Mech.Reset()
-
-	cbank := mem.NewAddrSpace()
-	cbank.Write(uint64(p.StackPtrConst), alloc.StackTop, 8)
-	for i, v := range params {
-		cbank.Write(uint64(p.ParamBase+8*i), v, 8)
-	}
-
 	e := &engine{
 		ctx:       ctx,
 		ctxArmed:  ctx != nil && ctx.Done() != nil,
-		dev:       dev,
 		c:         c,
 		cfg:       &dev.Cfg,
 		mech:      dev.Mech,
 		global:    dev.Global,
 		shared:    mem.NewAddrSpace(),
-		heap:      dev.Heap(),
-		cbank:     cbank,
-		tracer:    dev.Tracer,
-		grid:      gridDim,
-		bdim:      blockDim,
-		gridX:     gridX,
-		bdimX:     blockX,
 		noProg:    dev.Cfg.Watchdog.NoProgressCycles,
 		maxInstrs: dev.Cfg.MaxCycles,
-		lineShift: uint(bits.TrailingZeros64(dev.Cfg.LineSize)),
 		smTime:    make([]uint64, dev.Cfg.NumSMs),
 	}
-	e.stats.MemInstrs = make(map[isa.Opcode]uint64)
-	if dev.Cfg.RaceOracle {
-		e.race = sim.NewRaceOracle()
+	if err := e.Begin(dev, c.prog, gridDim, 1, blockDim, 1, params); err != nil {
+		return nil, err
 	}
 	rows := constRow(c.nregs, len(c.consts))
-	for wi := 0; wi < (blockDim+31)/32; wi++ {
-		lanes := min(blockDim-wi*32, 32)
+	for wi := 0; wi < (e.Block+31)/32; wi++ {
+		lanes := min(e.Block-wi*32, 32)
 		w := &fwarp{
 			warpIdx:    wi,
 			launchMask: uint32(1)<<uint(lanes) - 1,
@@ -245,32 +149,20 @@ func (c *Compiled) Launch2DCtx(ctx context.Context, dev *sim.Device, gridX, grid
 		e.warps = append(e.warps, w)
 	}
 
-	for ctaid := 0; ctaid < gridDim; ctaid++ {
+	for ctaid := 0; ctaid < e.Grid; ctaid++ {
 		e.runBlock(ctaid)
-		if e.runErr != nil {
-			return nil, e.runErr
+		if e.Err != nil {
+			return nil, e.Err
 		}
-		if e.halted {
+		if e.Halted {
 			break
 		}
 	}
-	out := e.stats
-	for op, n := range e.memInstrs {
-		if n != 0 {
-			out.MemInstrs[isa.Opcode(op)] = n
-		}
-	}
-	out.Halted = e.halted
-	if e.race != nil {
-		out.Races = e.race.Records()
-		out.SharedShadowed = e.race.Shadowed()
-	}
+	out := e.End()
 	for _, t := range e.smTime {
-		if t > out.Cycles {
-			out.Cycles = t
-		}
+		out.Cycles = max(out.Cycles, t)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // runBlock instantiates and executes one thread block. Warps run
@@ -282,8 +174,8 @@ func (e *engine) runBlock(ctaid int) {
 	e.smID = ctaid % e.cfg.NumSMs
 	e.blockBase = e.smTime[e.smID]
 	e.shared.Reset()
-	if e.race != nil {
-		e.shadow = e.race.NewBlockShadow()
+	if e.Race != nil {
+		e.shadow = e.Race.NewBlockShadow()
 	}
 	warps := e.warps
 	for wi, w := range warps {
@@ -293,9 +185,9 @@ func (e *engine) runBlock(ctaid int) {
 			launchMask: w.launchMask,
 			rf:         w.rf,
 			locals:     w.locals,
-			stack:      append(w.stack[:0], simtEntry{pc: 0, rpc: -1, mask: w.launchMask}),
-			pendingSSY: -1,
+			SIMT:       w.SIMT,
 		}
+		w.Reset(w.launchMask)
 		clear(w.rf[:e.c.nregs*32])
 		for _, lm := range w.locals {
 			if lm != nil {
@@ -316,7 +208,7 @@ func (e *engine) runBlock(ctaid int) {
 				continue
 			}
 			e.runWarp(w)
-			if e.halted || e.runErr != nil {
+			if e.Halted {
 				return
 			}
 		}
@@ -351,34 +243,34 @@ func (e *engine) runBlock(ctaid int) {
 }
 
 // runWarp executes a warp block-by-block until it exits, parks at a
-// barrier, faults the launch, or errors. Reconvergence (syncTop) is
+// barrier, faults the launch, or errors. Reconvergence (SIMT.Sync) is
 // checked only at block entry: every reconvergence pc is an SSY target
 // and therefore a block leader.
 func (e *engine) runWarp(w *fwarp) {
 	for {
-		if !w.syncTop() {
+		if !w.Sync() {
+			w.done = true
 			return
 		}
-		top := &w.stack[len(w.stack)-1]
-		pc := int(top.pc)
+		pc := int(w.PC())
 		if pc < 0 || pc >= len(e.c.blockOf) || e.c.blockOf[pc] < 0 {
-			e.fail(fmt.Errorf("fastsim: %s: control reached pc %d outside any basic block", e.c.prog.Name, pc))
+			e.Fail(fmt.Errorf("fastsim: %s: control reached pc %d outside any basic block", e.c.prog.Name, pc))
 			return
 		}
 		blk := &e.c.blocks[e.c.blockOf[pc]]
-		active := top.mask &^ w.exited
-		trace := e.tracer != nil
+		active := w.Active()
+		trace := e.Dev.Tracer != nil
 
 		for k := range blk.body {
 			if trace {
-				e.traceEv.Addrs = e.traceEv.Addrs[:0]
+				e.TraceEv.Addrs = e.TraceEv.Addrs[:0]
 			}
 			exec := blk.body[k](e, w, active)
 			w.vtime++
 			if trace {
-				e.emitTrace(blk.start+k, blk.ops[k], blk.hintA[k], w, exec)
+				e.EmitTrace(blk.start+k, blk.ops[k], blk.hintA[k], e.smID, w.globalID, exec)
 			}
-			if e.halted || e.runErr != nil {
+			if e.Halted {
 				return
 			}
 			if e.step(w) {
@@ -387,61 +279,38 @@ func (e *engine) runWarp(w *fwarp) {
 		}
 
 		if blk.term == termFall {
-			top.pc = blk.next
+			w.Goto(blk.next)
 			continue
 		}
 		// Control terminator (BRA/EXIT/BAR): counted and traced like any
 		// issued instruction.
 		exec := blk.termGuard.exec(w, active)
-		e.count(exec)
+		e.Count(exec)
 		w.vtime++
 		if trace {
-			e.traceEv.Addrs = e.traceEv.Addrs[:0]
-			e.emitTrace(blk.termPC, blk.termOp, false, w, exec)
+			e.TraceEv.Addrs = e.TraceEv.Addrs[:0]
+			e.EmitTrace(blk.termPC, blk.termOp, false, e.smID, w.globalID, exec)
 		}
 		if e.step(w) {
 			return
 		}
 		switch blk.term {
 		case termEXIT:
-			w.exited |= exec
+			w.Exit(exec)
 			w.sinceProg = 0
-			top.pc = blk.next
+			w.Goto(blk.next)
 		case termBAR:
 			w.atBarrier = true
 			w.sinceProg = 0
-			top.pc = blk.next
+			w.Goto(blk.next)
 			return
 		case termBRA:
-			e.branch(w, top, blk, active, exec)
-			if e.runErr != nil {
+			e.Branch(&w.SIMT, blk.termPC, blk.target, active, exec)
+			if e.Halted {
 				return
 			}
 		}
 	}
-}
-
-// branch implements the SIMT reconvergence-stack transform, mirroring
-// the cycle simulator's branch().
-func (e *engine) branch(w *fwarp, top *simtEntry, blk *bblock, active, taken uint32) {
-	switch {
-	case taken == active:
-		top.pc = blk.target
-	case taken == 0:
-		top.pc = blk.next
-	default:
-		rpc := w.pendingSSY
-		if rpc < 0 {
-			e.fail(fmt.Errorf("fastsim: %s: divergent branch at pc %d without SSY", e.c.prog.Name, blk.termPC))
-			return
-		}
-		top.pc = rpc
-		w.stack = append(w.stack,
-			simtEntry{pc: blk.next, rpc: rpc, mask: active &^ taken},
-			simtEntry{pc: blk.target, rpc: rpc, mask: taken},
-		)
-	}
-	w.pendingSSY = -1
 }
 
 // step performs per-instruction bookkeeping: the instruction budget,
@@ -451,65 +320,35 @@ func (e *engine) step(w *fwarp) bool {
 	w.icount++
 	w.sinceProg++
 	if e.maxInstrs > 0 && w.icount > e.maxInstrs {
-		e.fail(&sim.CycleLimitError{Kernel: e.c.prog.Name, Limit: e.maxInstrs})
+		e.Fail(&sim.CycleLimitError{Kernel: e.c.prog.Name, Limit: e.maxInstrs})
 		return true
 	}
 	if e.noProg > 0 && w.sinceProg > e.noProg {
-		e.runErr = &sim.WatchdogError{
+		e.Fail(&sim.WatchdogError{
 			Kind:   sim.WatchdogNoProgress,
 			Kernel: e.c.prog.Name,
 			Cycle:  e.blockBase + w.vtime,
 			Detail: fmt.Sprintf("warp%d issued %d instructions without memory/heap/barrier/exit activity", w.globalID, e.noProg),
-		}
-		e.halted = true
+		})
 		return true
 	}
 	e.tick++
 	if e.ctxArmed && e.tick&1023 == 0 {
 		if err := e.ctx.Err(); err != nil {
-			e.runErr = &sim.ContextError{Kernel: e.c.prog.Name, Cycle: e.blockBase + w.vtime, Err: err}
-			e.halted = true
+			e.Fail(&sim.ContextError{Kernel: e.c.prog.Name, Cycle: e.blockBase + w.vtime, Err: err})
 			return true
 		}
 	}
 	return false
 }
 
-// count updates the issued-instruction statistics exactly like the
-// cycle simulator's issue path.
-func (e *engine) count(exec uint32) {
-	e.stats.Instrs++
-	e.stats.ThreadInstrs += uint64(bits.OnesCount32(exec))
-}
-
-// fail aborts the launch with an error (the cycle simulator's
-// runErr+halted convention).
-func (e *engine) fail(err error) {
-	if e.runErr == nil {
-		e.runErr = err
-	}
-	e.halted = true
-}
-
-// recordFault appends a fault record and halts the launch if
-// configured. The SM index is the block's deterministic SM assignment
-// (ctaid mod NumSMs) and the cycle stamp is the virtual-time estimate;
-// both are scheduling artifacts excluded from the cross-tier
-// functional projection.
-func (e *engine) recordFault(f *core.Fault, pc int, w *fwarp, lane int) {
-	e.stats.Faults = append(e.stats.Faults, sim.FaultRecord{
-		Fault: f, PC: pc, SM: e.smID, Warp: w.globalID, Lane: lane,
-		Cycle: e.blockBase + w.vtime,
-	})
-	if e.cfg.HaltOnFault {
-		e.halted = true
-	}
-}
-
-// trap raises the TRAP software fault (one record per warp instruction).
-func (e *engine) trap(pc int, w *fwarp, lane int, code int32) {
-	e.recordFault(core.NewFault(core.FaultSpatial, 0, 0,
-		fmt.Sprintf("software bounds check trap (code %d)", code)), pc, w, lane)
+// at locates the instruction at pc of warp w for its fault records. The
+// SM index is the block's deterministic SM assignment (ctaid mod
+// NumSMs) and the cycle stamp the virtual-time estimate; both are
+// scheduling artifacts excluded from the cross-tier functional
+// projection.
+func (e *engine) at(pc int, w *fwarp) sim.FaultRecord {
+	return sim.FaultRecord{PC: pc, SM: e.smID, Warp: w.globalID, Cycle: e.blockBase + w.vtime}
 }
 
 // space returns global memory or the block's shared memory.
@@ -518,48 +357,4 @@ func (e *engine) space(global bool) *mem.AddrSpace {
 		return e.global
 	}
 	return e.shared
-}
-
-// specialReg reads an S2R value for a lane. SRSMID reports the
-// deterministic block-to-SM assignment.
-func (e *engine) specialReg(w *fwarp, lane int, sr isa.SReg) uint64 {
-	tid := w.warpIdx*32 + lane
-	switch sr {
-	case isa.SRTidX:
-		return uint64(tid % e.bdimX)
-	case isa.SRTidY:
-		return uint64(tid / e.bdimX)
-	case isa.SRCtaidX:
-		return uint64(e.ctaid % e.gridX)
-	case isa.SRCtaidY:
-		return uint64(e.ctaid / e.gridX)
-	case isa.SRNtidX:
-		return uint64(e.bdimX)
-	case isa.SRNtidY:
-		return uint64(e.bdim / e.bdimX)
-	case isa.SRNctaidX:
-		return uint64(e.gridX)
-	case isa.SRNctaidY:
-		return uint64(e.grid / e.gridX)
-	case isa.SRLaneID:
-		return uint64(lane)
-	case isa.SRWarpID:
-		return uint64(w.warpIdx)
-	case isa.SRSMID:
-		return uint64(e.smID)
-	default:
-		return 0
-	}
-}
-
-// emitTrace delivers one executed instruction to the attached tracer
-// (memory closures have already collected lane addresses into traceEv).
-func (e *engine) emitTrace(pc int, op isa.Opcode, hintA bool, w *fwarp, exec uint32) {
-	e.traceEv.PC = pc
-	e.traceEv.Op = op
-	e.traceEv.SM = e.smID
-	e.traceEv.Warp = w.globalID
-	e.traceEv.Active = exec
-	e.traceEv.HintA = hintA
-	e.tracer.Trace(&e.traceEv)
 }

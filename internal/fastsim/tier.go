@@ -11,13 +11,16 @@
 // A-hinted integer op to the OCU-checked closure, and everything else to
 // the plain closure.
 //
-// The cycle-level simulator (internal/sim) remains the semantic oracle
-// and the only timing model. The compiled tier reproduces the
-// *functional* projection of a launch exactly — instruction and
-// lane-instruction counts, per-opcode memory-instruction counts,
-// PointerChecks, ECChecked/ECElided, fault records (location and fault
-// content), halt status, and all guest-visible memory — while replacing
-// the per-cycle scheduling, scoreboard, and cache hierarchy with a
+// Both tiers run one warp semantics: the ALU kernels of internal/isa,
+// and sim.Exec's launch prelude and epilogue, SIMT stack, special
+// registers, EC site, heap intrinsics, TRAP and fault records. The
+// cycle-level simulator (internal/sim) remains the only timing model.
+// The compiled tier reproduces the *functional* projection of a launch
+// exactly — instruction and lane-instruction counts, per-opcode
+// memory-instruction counts, PointerChecks, ECChecked/ECElided, fault
+// records (location and fault content), halt status, and all
+// guest-visible memory — while replacing the per-cycle scheduling,
+// scoreboard, and cache hierarchy with block-level dispatch and a
 // deterministic per-warp time estimate. KernelStats fields that only
 // the timing model defines (Cycles, L1/L2/DRAM counters, FaultRecord
 // cycle stamps) are estimates or zero; the differential gate

@@ -2,22 +2,25 @@ package fastsim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
+
+	"lmi/internal/sim"
 )
 
 // TestUnitSpanMatchesLineCount: wherever unitSpan accepts a warp's
 // addresses, the line count it derives from the first and last address
-// equals the first-touch line set's, so the unit-stride path charges the
-// timing estimate the same transactions as the generic path. The cases
-// cover aligned and unaligned bases, page ends, full, partial and gapped
-// exec masks, and line sizes from 32 bytes to a page.
+// equals the size of the first-touch line set both tiers use
+// (sim.LineSet), so the unit-stride path charges the timing estimate the
+// same transactions as the generic path. The cases cover aligned and
+// unaligned bases, page ends, full, partial and gapped exec masks, and
+// line sizes from 32 bytes to a page.
 func TestUnitSpanMatchesLineCount(t *testing.T) {
 	masks := []uint32{0xFFFFFFFF, 0x0000FFFF, 0xFFFF0000, 0x0F0F0F0F, 0x55555555,
 		0x80000001, 0x00000001, 0x00FF0000, 0x000000F0 | 0x00F00000}
 	bases := []uint64{0, 4, 60, 126, 0x1000 - 128, 0x1000 - 126, 0x1000 - 64, 0x1000 - 4, 0x7F3C}
 	accepted := 0
 	for _, shift := range []uint{5, 7, 12} {
-		e := &engine{lineShift: shift}
 		for _, mask := range masks {
 			for _, base := range bases {
 				var addrs [32]uint64
@@ -48,7 +51,11 @@ func TestUnitSpanMatchesLineCount(t *testing.T) {
 				if lo != addrs[first] {
 					t.Errorf("%s: lo %#x, want %#x", label, lo, addrs[first])
 				}
-				if want := e.lineCount(mask, &addrs, 4); n != want {
+				var set sim.LineSet
+				for m := mask; m != 0; m &= m - 1 {
+					set.Add(addrs[bits.TrailingZeros32(m)], 4, shift)
+				}
+				if want := uint64(len(set.Lines())); n != want {
 					t.Errorf("%s: %d lines from the span, %d from the line set", label, n, want)
 				}
 			}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime/debug"
 	"time"
 
 	"lmi/internal/alloc"
-	"lmi/internal/core"
 	"lmi/internal/isa"
 	"lmi/internal/mem"
 )
@@ -101,9 +99,6 @@ func (d *Device) Free(ptr uint64) (err error) {
 	return d.galloc.Free(d.Mech.UntagFree(ptr, isa.SpaceGlobal))
 }
 
-// Heap exposes the device heap.
-func (d *Device) Heap() *alloc.DeviceHeap { return d.heap }
-
 // WriteGlobal copies host data into device global memory at a pointer
 // returned by Malloc (tag bits are stripped via the mechanism).
 func (d *Device) WriteGlobal(ptr uint64, data []byte) {
@@ -113,12 +108,6 @@ func (d *Device) WriteGlobal(ptr uint64, data []byte) {
 // ReadGlobal copies device global memory back to the host.
 func (d *Device) ReadGlobal(ptr uint64, size int) []byte {
 	return d.Global.ReadBytes(d.Mech.Canonical(ptr), size)
-}
-
-// simtEntry is one SIMT reconvergence-stack entry.
-type simtEntry struct {
-	pc, rpc int32
-	mask    uint32
 }
 
 // warp is a resident warp's execution state.
@@ -136,9 +125,7 @@ type warp struct {
 	preds  [8]uint32 // predicate registers as lane masks; preds[PT] = launchMask
 	locals []*mem.AddrSpace
 
-	stack      []simtEntry
-	pendingSSY int32
-	exited     uint32
+	SIMT
 
 	regReady  []uint64 // per register, the cycle its pending write lands
 	predReady [8]uint64
@@ -187,18 +174,13 @@ type smCtx struct {
 	releasable, finished int
 }
 
-// launch is the transient state of one kernel execution.
+// launch is the transient state of one kernel execution: the state both
+// tiers share plus the cycle tier's scheduling and memory hierarchy.
 type launch struct {
+	Exec
 	// ctx bounds the launch: cancellation or deadline expiry is observed
 	// at the watchdog polling cadence and aborts with a ContextError.
-	ctx   context.Context
-	dev   *Device
-	prog  *isa.Program
-	grid  int // total blocks (gridX * gridY)
-	bdim  int // total threads per block (blockX * blockY)
-	gridX int
-	bdimX int
-	cbank *mem.AddrSpace
+	ctx context.Context
 
 	l2   *mem.Cache
 	dram *mem.DRAM
@@ -219,31 +201,13 @@ type launch struct {
 	alu  []isa.ALU
 	zero [32]uint64
 	res  [32]uint64
-	// lineShift is log2 of the cache line size.
-	lineShift uint
-	// acc is the warp memory instruction handed to the mechanism's LSU
-	// hook.
-	acc WarpAccess
-	// memInstrs counts executed memory instructions per opcode, folded
-	// into KernelStats.MemInstrs when the launch ends.
-	memInstrs [256]uint64
 
-	cycle  uint64
-	stats  KernelStats
-	halted bool
-	runErr error
-
-	// race is the launch's dynamic race oracle (nil when Config.RaceOracle
-	// is off).
-	race *RaceOracle
+	cycle uint64
 
 	// Watchdog state: launch wall-clock start and the cycle of the last
 	// observable progress event (see WatchdogConfig).
 	wallStart    time.Time
 	lastProgress uint64
-
-	// traceEv is the reusable event delivered to an attached tracer.
-	traceEv TraceEvent
 }
 
 // Launch runs a kernel to completion and returns its statistics with a
@@ -277,51 +241,19 @@ func (d *Device) Launch2DCtx(ctx context.Context, p *isa.Program, gridX, gridY, 
 			st, err = nil, &PanicError{Op: "Launch", Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if err := p.Validate(); err != nil {
+	ls := &launch{ctx: ctx}
+	if err := ls.Begin(d, p, gridX, gridY, blockX, blockY, params); err != nil {
 		return nil, err
 	}
-	if gridX <= 0 || gridY <= 0 || blockX <= 0 || blockY <= 0 {
-		return nil, fmt.Errorf("sim: bad launch dimensions (%d,%d) x (%d,%d)", gridX, gridY, blockX, blockY)
-	}
-	gridDim, blockDim := gridX*gridY, blockX*blockY
-	if blockDim > 1024 {
-		return nil, fmt.Errorf("sim: block %d x %d exceeds 1024 threads", blockX, blockY)
-	}
-	if len(params) < p.NumParams {
-		return nil, fmt.Errorf("sim: kernel %s expects %d params, got %d", p.Name, p.NumParams, len(params))
-	}
-	d.Mech.Reset()
-
-	cbank := mem.NewAddrSpace()
-	cbank.Write(uint64(p.StackPtrConst), alloc.StackTop, 8)
-	for i, v := range params {
-		cbank.Write(uint64(p.ParamBase+8*i), v, 8)
-	}
-
 	l2, err := mem.NewCache("L2", d.Cfg.L2Size, d.Cfg.L2Assoc, d.Cfg.LineSize, d.Cfg.L2Latency)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	ls := &launch{
-		ctx:   ctx,
-		dev:   d,
-		prog:  p,
-		grid:  gridDim,
-		bdim:  blockDim,
-		gridX: gridX,
-		bdimX: blockX,
-		cbank: cbank,
-		l2:    l2,
-		dram:  mem.NewDRAM(d.Cfg.DRAMLatency, d.Cfg.DRAMBandwidth),
-	}
-	ls.lineShift = uint(bits.TrailingZeros64(d.Cfg.LineSize))
+	ls.l2, ls.dram = l2, mem.NewDRAM(d.Cfg.DRAMLatency, d.Cfg.DRAMBandwidth)
 	ls.imm = immRows(p)
 	ls.alu = make([]isa.ALU, len(p.Instrs))
 	for pc := range p.Instrs {
 		ls.alu[pc] = p.Instrs[pc].ALU()
-	}
-	if d.Cfg.RaceOracle {
-		ls.race = NewRaceOracle()
 	}
 	for i := 0; i < d.Cfg.NumSMs; i++ {
 		l1, err := mem.NewCache("L1", d.Cfg.L1Size, d.Cfg.L1Assoc, d.Cfg.LineSize, d.Cfg.L1Latency)
@@ -341,19 +273,8 @@ func (d *Device) Launch2DCtx(ctx context.Context, p *isa.Program, gridX, gridY, 
 	if err := ls.run(); err != nil {
 		return nil, err
 	}
-	out := ls.stats
-	out.MemInstrs = make(map[isa.Opcode]uint64)
-	for op, n := range ls.memInstrs {
-		if n != 0 {
-			out.MemInstrs[isa.Opcode(op)] = n
-		}
-	}
+	out := ls.End()
 	out.Cycles = ls.cycle
-	out.Halted = ls.halted
-	if ls.race != nil {
-		out.Races = ls.race.Records()
-		out.SharedShadowed = ls.race.Shadowed()
-	}
 	out.L2 = ls.l2.Stats()
 	out.DRAMAccesses = ls.dram.Stats().Accesses
 	for _, sm := range ls.sms {
@@ -362,7 +283,7 @@ func (d *Device) Launch2DCtx(ctx context.Context, p *isa.Program, gridX, gridY, 
 		out.L1.Hits += s.Hits
 		out.L1.Misses += s.Misses
 	}
-	return &out, nil
+	return out, nil
 }
 
 // immRows builds the broadcast row of each instruction's sign-extended
@@ -382,22 +303,22 @@ func immRows(p *isa.Program) []*[32]uint64 {
 }
 
 // warpsPerBlock returns the warp count for the launch's block dimension.
-func (ls *launch) warpsPerBlock() int { return (ls.bdim + 31) / 32 }
+func (ls *launch) warpsPerBlock() int { return (ls.Block + 31) / 32 }
 
 // smHasRoom reports whether an SM can host one more block of this
 // launch, considering block slots, warp slots, and shared-memory
 // occupancy.
 func (ls *launch) smHasRoom(sm *smCtx) bool {
-	cfg := &ls.dev.Cfg
+	cfg := &ls.Dev.Cfg
 	if len(sm.blocks) >= cfg.MaxBlocksPerSM {
 		return false
 	}
 	if len(sm.warps)+ls.warpsPerBlock() > cfg.MaxWarpsPerSM {
 		return false
 	}
-	if cfg.SharedMemPerSM > 0 && ls.prog.SharedSize > 0 {
-		used := uint64(len(sm.blocks)) * uint64(ls.prog.SharedSize)
-		if used+uint64(ls.prog.SharedSize) > cfg.SharedMemPerSM {
+	if cfg.SharedMemPerSM > 0 && ls.Prog.SharedSize > 0 {
+		used := uint64(len(sm.blocks)) * uint64(ls.Prog.SharedSize)
+		if used+uint64(ls.Prog.SharedSize) > cfg.SharedMemPerSM {
 			return false
 		}
 	}
@@ -407,7 +328,7 @@ func (ls *launch) smHasRoom(sm *smCtx) bool {
 // fillSMs assigns pending blocks to SMs with free slots.
 func (ls *launch) fillSMs() {
 	for _, sm := range ls.sms {
-		for ls.nextBlock < ls.grid && ls.smHasRoom(sm) {
+		for ls.nextBlock < ls.Grid && ls.smHasRoom(sm) {
 			ls.placeBlock(sm, ls.nextBlock)
 			ls.nextBlock++
 			ls.liveBlk++
@@ -426,9 +347,9 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 		ls.free = ls.free[:n-1]
 	} else {
 		blk = &blockCtx{shared: mem.NewAddrSpace()}
-		nregs := ls.prog.RegFileWidth()
+		nregs := ls.Prog.RegFileWidth()
 		for wi := 0; wi < ls.warpsPerBlock(); wi++ {
-			lanes := min(ls.bdim-wi*32, 32)
+			lanes := min(ls.Block-wi*32, 32)
 			blk.warps = append(blk.warps, &warp{
 				rf:       make([]uint64, nregs*32),
 				regReady: make([]uint64, nregs),
@@ -439,8 +360,8 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 	blk.ctaid = ctaid
 	blk.shared.Reset()
 	blk.race = nil
-	if ls.race != nil {
-		blk.race = ls.race.NewBlockShadow()
+	if ls.Race != nil {
+		blk.race = ls.Race.NewBlockShadow()
 	}
 	blk.live, blk.parked = len(blk.warps), 0
 	for wi, w := range blk.warps {
@@ -460,10 +381,10 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 			launchMask: mask,
 			rf:         w.rf,
 			locals:     w.locals,
-			stack:      append(w.stack[:0], simtEntry{pc: 0, rpc: -1, mask: mask}),
-			pendingSSY: -1,
+			SIMT:       w.SIMT,
 			regReady:   w.regReady,
 		}
+		w.Reset(mask)
 		w.preds[isa.PT] = mask
 		sm.warps = append(sm.warps, w)
 	}
@@ -476,7 +397,7 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 // detectors fire on the same cycle) or past MaxCycles+1 (so the cycle
 // limit trips at the same cycle).
 func (ls *launch) run() error {
-	cfg := ls.dev.Cfg
+	cfg := ls.Dev.Cfg
 	wd := cfg.Watchdog
 	// A context that can actually fire (context.Background cannot) arms
 	// the polling loop even when no other detector is configured.
@@ -488,12 +409,12 @@ func (ls *launch) run() error {
 	if wdArmed {
 		ls.wallStart = time.Now()
 	}
-	for ls.liveBlk > 0 || ls.nextBlock < ls.grid {
-		if ls.halted {
+	for ls.liveBlk > 0 || ls.nextBlock < ls.Grid {
+		if ls.Halted {
 			break
 		}
 		if ls.cycle > cfg.MaxCycles {
-			return &CycleLimitError{Kernel: ls.prog.Name, Limit: cfg.MaxCycles}
+			return &CycleLimitError{Kernel: ls.Prog.Name, Limit: cfg.MaxCycles}
 		}
 		if wdArmed && ls.cycle%wdPoll == 0 {
 			if err := ls.watchdogCheck(&wd); err != nil {
@@ -510,7 +431,7 @@ func (ls *launch) run() error {
 				}
 			}
 			next = min(next, sm.wake)
-			if ls.halted {
+			if ls.Halted {
 				break
 			}
 		}
@@ -524,7 +445,7 @@ func (ls *launch) run() error {
 		}
 		ls.cycle = next
 	}
-	return ls.runErr
+	return ls.Err
 }
 
 // stepSM advances one SM by one cycle: barrier release, then one issue per
@@ -551,7 +472,7 @@ func (ls *launch) stepSM(sm *smCtx) bool {
 		sm.releasable = 0
 		active = true
 	}
-	nsched := ls.dev.Cfg.SchedulersPerSM
+	nsched := ls.Dev.Cfg.SchedulersPerSM
 	for s := 0; s < nsched; s++ {
 		// GTO: keep issuing the greedy warp while it is ready; otherwise
 		// pick the oldest ready warp. Scheduler s owns the warps at
@@ -575,7 +496,7 @@ func (ls *launch) stepSM(sm *smCtx) bool {
 		sm.greedy[s] = pick
 		w := sm.warps[pick]
 		ls.issue(sm, w)
-		if ls.halted {
+		if ls.Halted {
 			return true
 		}
 		ls.updateReady(w)
@@ -628,7 +549,7 @@ func (ls *launch) retireBlocks(sm *smCtx) bool {
 	for s := range sm.greedy {
 		sm.greedy[s] = -1
 	}
-	for ls.nextBlock < ls.grid && ls.smHasRoom(sm) {
+	for ls.nextBlock < ls.Grid && ls.smHasRoom(sm) {
 		ls.placeBlock(sm, ls.nextBlock)
 		ls.nextBlock++
 		ls.liveBlk++
@@ -636,28 +557,16 @@ func (ls *launch) retireBlocks(sm *smCtx) bool {
 	return true
 }
 
-// syncTop pops reconverged or fully-exited stack entries and reports
-// whether the warp still has work. The call that empties the stack
-// finishes the warp and updates its block's counters.
+// syncTop is SIMT.Sync; the call that empties the stack finishes the
+// warp and updates its block's counters.
 func (w *warp) syncTop() bool {
-	for {
-		if len(w.stack) == 0 {
-			if !w.done {
-				w.finish()
-			}
-			return false
-		}
-		top := &w.stack[len(w.stack)-1]
-		if top.mask&^w.exited == 0 {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		if len(w.stack) > 1 && top.pc == top.rpc {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
+	if w.Sync() {
 		return true
 	}
+	if !w.done {
+		w.finish()
+	}
+	return false
 }
 
 // finish marks the warp done: its block has one live warp fewer, which
@@ -687,7 +596,7 @@ func (ls *launch) updateReady(w *warp) {
 	if !w.syncTop() {
 		return
 	}
-	in := &ls.prog.Instrs[w.stack[len(w.stack)-1].pc]
+	in := &ls.Prog.Instrs[w.PC()]
 	r := max(w.nextIssue, w.predReady[in.Pred&7])
 	for _, s := range in.Src {
 		if s != isa.RZ {
@@ -703,14 +612,4 @@ func (ls *launch) updateReady(w *warp) {
 		r = max(r, w.predReady[in.Aux&7])
 	}
 	w.readyAt = r
-}
-
-// recordFault appends a fault and halts the launch if configured.
-func (ls *launch) recordFault(f *core.Fault, pc int, sm, warpID, lane int) {
-	ls.stats.Faults = append(ls.stats.Faults, FaultRecord{
-		Fault: f, PC: pc, SM: sm, Warp: warpID, Lane: lane, Cycle: ls.cycle,
-	})
-	if ls.dev.Cfg.HaltOnFault {
-		ls.halted = true
-	}
 }

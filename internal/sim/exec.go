@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"lmi/internal/core"
 	"lmi/internal/isa"
 )
 
@@ -71,10 +70,9 @@ func (ls *launch) result(w *warp, in *isa.Instr, exec uint32) *[32]uint64 {
 // commits the exec lanes. The mechanism hooks, memory, heap, LDC and
 // S2R visit only the exec lanes, in ascending lane order.
 func (ls *launch) issue(sm *smCtx, w *warp) {
-	top := &w.stack[len(w.stack)-1]
-	pc := int(top.pc)
-	in := &ls.prog.Instrs[pc]
-	active := top.mask &^ w.exited
+	pc := int(w.PC())
+	in := &ls.Prog.Instrs[pc]
+	active := w.Active()
 
 	// The guard predicate is a lane mask, complemented for @!P.
 	guard := w.preds[in.Pred&7]
@@ -83,25 +81,24 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 	}
 	exec := active & guard
 
-	ls.stats.Instrs++
-	ls.stats.ThreadInstrs += uint64(bits.OnesCount32(exec))
+	ls.Count(exec)
 	if in.Op.IsMemory() && exec != 0 {
-		ls.memInstrs[in.Op]++
+		ls.MemInstrs[in.Op]++
 	}
-	if ls.dev.Tracer != nil {
-		ls.traceEv.Addrs = ls.traceEv.Addrs[:0]
-		defer ls.emitTrace(sm, w, in, pc, exec)
+	if ls.Dev.Tracer != nil {
+		ls.TraceEv.Addrs = ls.TraceEv.Addrs[:0]
+		defer ls.EmitTrace(pc, in.Op, in.Hint.A, sm.id, w.globalID, exec)
 	}
 
 	w.nextIssue = ls.cycle + 1
-	cfg := &ls.dev.Cfg
+	cfg := &ls.Dev.Cfg
 
 	advance := true
 	switch in.Op {
 	case isa.NOP, isa.SYNC:
 		// SYNC is a no-op: reconvergence is driven by the rpc check.
 	case isa.SSY:
-		w.pendingSSY = in.Target
+		w.SSY(in.Target)
 	case isa.MOV, isa.IADD, isa.IADD3, isa.IMUL, isa.IMAD, isa.IMNMX, isa.SHL, isa.SHR,
 		isa.AND, isa.OR, isa.XOR, isa.SEL:
 		ls.finishInt(w, in, exec, ls.compute(w, in, pc, exec))
@@ -117,10 +114,7 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 		ls.writePred(w, in, exec, ls.alu[pc].Set(a, b)&exec, cfg.FPLatency)
 	case isa.S2R:
 		d := ls.result(w, in, exec)
-		for m := exec; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			d[l] = ls.specialReg(w, l, isa.SReg(in.Aux))
-		}
+		ls.SpecialReg(d, exec, isa.SReg(in.Aux), w.block.ctaid, w.warpIdx, sm.id)
 		ls.writeback(w, in, exec, d, cfg.IntLatency)
 	case isa.LDG, isa.STG, isa.LDS, isa.STS, isa.LDL, isa.STL, isa.ATOMG, isa.ATOMS:
 		ls.memAccess(sm, w, in, exec, pc)
@@ -128,18 +122,13 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 		a, d := ls.row(w, in.Src[0]), ls.result(w, in, exec)
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			d[l] = ls.cbank.Read(a[l]+isa.Sx32(in.Imm), int(in.AccSize()))
+			d[l] = ls.CBank.Read(a[l]+isa.Sx32(in.Imm), int(in.AccSize()))
 		}
 		ls.writeback(w, in, exec, d, cfg.ConstLatency)
 	case isa.MALLOC, isa.FREE:
 		ls.heapOp(sm, w, in, exec, pc)
 	case isa.TRAP:
-		if exec != 0 {
-			// One record per warp instruction suffices.
-			ls.recordFault(core.NewFault(core.FaultSpatial, 0, 0,
-				fmt.Sprintf("software bounds check trap (code %d)", in.Imm)),
-				pc, sm.id, w.globalID, bits.TrailingZeros32(exec))
-		}
+		ls.Trap(in.Imm, exec, FaultRecord{PC: pc, SM: sm.id, Warp: w.globalID, Cycle: ls.cycle})
 	case isa.BAR:
 		w.atBarrier = true
 		w.barrierSince = ls.cycle
@@ -151,21 +140,20 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 	case isa.EXIT:
 		// Only lanes whose guard predicate held retire: a predicated
 		// @!P EXIT must leave the other lanes running.
-		w.exited |= exec
+		w.Exit(exec)
 		ls.progress()
-		top.pc++
+		w.Goto(int32(pc) + 1)
 		w.syncTop()
 		return
 	case isa.BRA:
 		advance = false
-		ls.branch(w, top, pc, active, exec)
+		ls.Branch(&w.SIMT, pc, in.Target, active, exec)
 	default:
-		ls.runErr = fmt.Errorf("sim: %s: unhandled opcode %s at pc %d", ls.prog.Name, in.Op, pc)
-		ls.halted = true
+		ls.Fail(fmt.Errorf("sim: %s: unhandled opcode %s at pc %d", ls.Prog.Name, in.Op, pc))
 		return
 	}
 	if advance {
-		top.pc++
+		w.Goto(int32(pc) + 1)
 	}
 }
 
@@ -186,13 +174,13 @@ func (ls *launch) finishInt(w *warp, in *isa.Instr, exec uint32, res *[32]uint64
 		ptr := ls.row(w, in.Src[in.Hint.PointerOperand()])
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			out, extra := ls.dev.Mech.CheckPointerOp(ptr[l], res[l])
+			out, extra := ls.Dev.Mech.CheckPointerOp(ptr[l], res[l])
 			res[l] = out
 			extraMax = max(extraMax, extra)
-			ls.stats.PointerChecks++
+			ls.Stats.PointerChecks++
 		}
 	}
-	ls.writeback(w, in, exec, res, ls.dev.Cfg.IntLatency+extraMax)
+	ls.writeback(w, in, exec, res, ls.Dev.Cfg.IntLatency+extraMax)
 }
 
 // writeback commits result row res to the destination register — the
@@ -224,75 +212,4 @@ func (ls *launch) writePred(w *warp, in *isa.Instr, exec, set uint32, lat uint64
 	pd := in.Dst & 7
 	w.preds[pd] = w.preds[pd]&^exec | set
 	w.predReady[pd] = max(w.predReady[pd], ls.cycle+lat)
-}
-
-// emitTrace delivers one executed instruction to the attached tracer
-// (memAccess has already collected the lane addresses into traceEv).
-func (ls *launch) emitTrace(sm *smCtx, w *warp, in *isa.Instr, pc int, exec uint32) {
-	ls.traceEv.PC = pc
-	ls.traceEv.Op = in.Op
-	ls.traceEv.SM = sm.id
-	ls.traceEv.Warp = w.globalID
-	ls.traceEv.Active = exec
-	ls.traceEv.HintA = in.Hint.A
-	ls.dev.Tracer.Trace(&ls.traceEv)
-}
-
-// branch implements the SIMT reconvergence-stack transform for a
-// (possibly divergent) predicated branch.
-func (ls *launch) branch(w *warp, top *simtEntry, pc int, active, taken uint32) {
-	in := &ls.prog.Instrs[pc]
-	switch {
-	case taken == active:
-		top.pc = in.Target
-	case taken == 0:
-		top.pc = int32(pc) + 1
-	default:
-		rpc := w.pendingSSY
-		if rpc < 0 {
-			ls.runErr = fmt.Errorf("sim: %s: divergent branch at pc %d without SSY", ls.prog.Name, pc)
-			ls.halted = true
-			return
-		}
-		// The current entry becomes the reconvergence continuation; the
-		// two paths are pushed above it and each pops when its pc reaches
-		// rpc (GPGPU-Sim style post-dominator stack).
-		top.pc = rpc
-		w.stack = append(w.stack,
-			simtEntry{pc: int32(pc) + 1, rpc: rpc, mask: active &^ taken},
-			simtEntry{pc: in.Target, rpc: rpc, mask: taken},
-		)
-	}
-	w.pendingSSY = -1
-}
-
-// specialReg reads an S2R value for a lane.
-func (ls *launch) specialReg(w *warp, lane int, sr isa.SReg) uint64 {
-	tid := w.warpIdx*32 + lane
-	switch sr {
-	case isa.SRTidX:
-		return uint64(tid % ls.bdimX)
-	case isa.SRTidY:
-		return uint64(tid / ls.bdimX)
-	case isa.SRCtaidX:
-		return uint64(w.block.ctaid % ls.gridX)
-	case isa.SRCtaidY:
-		return uint64(w.block.ctaid / ls.gridX)
-	case isa.SRNtidX:
-		return uint64(ls.bdimX)
-	case isa.SRNtidY:
-		return uint64(ls.bdim / ls.bdimX)
-	case isa.SRNctaidX:
-		return uint64(ls.gridX)
-	case isa.SRNctaidY:
-		return uint64(ls.grid / ls.gridX)
-	case isa.SRLaneID:
-		return uint64(lane)
-	case isa.SRWarpID:
-		return uint64(w.warpIdx)
-	case isa.SRSMID:
-		return uint64(w.sm.id)
-	default:
-		return 0
-	}
 }

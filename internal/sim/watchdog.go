@@ -139,7 +139,7 @@ func (ls *launch) progress() { ls.lastProgress = ls.cycle }
 func (ls *launch) watchdogCheck(wd *WatchdogConfig) error {
 	if ls.ctx != nil {
 		if err := ls.ctx.Err(); err != nil {
-			return &ContextError{Kernel: ls.prog.Name, Cycle: ls.cycle, Err: err}
+			return &ContextError{Kernel: ls.Prog.Name, Cycle: ls.cycle, Err: err}
 		}
 	}
 	if wd.BarrierStallCycles > 0 {
@@ -148,7 +148,7 @@ func (ls *launch) watchdogCheck(wd *WatchdogConfig) error {
 				if w.atBarrier && ls.cycle-w.barrierSince > wd.BarrierStallCycles {
 					return &WatchdogError{
 						Kind:   WatchdogBarrierDeadlock,
-						Kernel: ls.prog.Name,
+						Kernel: ls.Prog.Name,
 						Cycle:  ls.cycle,
 						Detail: fmt.Sprintf("SM%d warp%d parked at barrier since cycle %d (block %d never released)",
 							sm.id, w.globalID, w.barrierSince, w.block.ctaid),
@@ -160,7 +160,7 @@ func (ls *launch) watchdogCheck(wd *WatchdogConfig) error {
 	if wd.NoProgressCycles > 0 && ls.cycle-ls.lastProgress > wd.NoProgressCycles {
 		return &WatchdogError{
 			Kind:   WatchdogNoProgress,
-			Kernel: ls.prog.Name,
+			Kernel: ls.Prog.Name,
 			Cycle:  ls.cycle,
 			Detail: fmt.Sprintf("no memory/heap/barrier/exit activity since cycle %d", ls.lastProgress),
 		}
@@ -168,7 +168,7 @@ func (ls *launch) watchdogCheck(wd *WatchdogConfig) error {
 	if wd.WallClock > 0 && time.Since(ls.wallStart) > wd.WallClock {
 		return &WatchdogError{
 			Kind:   WatchdogWallClock,
-			Kernel: ls.prog.Name,
+			Kernel: ls.Prog.Name,
 			Cycle:  ls.cycle,
 			Detail: fmt.Sprintf("host deadline %v elapsed", wd.WallClock),
 		}
