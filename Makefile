@@ -128,7 +128,10 @@ bench:
 # worker, then decoding it and running bundle.Verify; the test binary
 # goes to $TMPDIR, or /tmp). Writes cpu.pprof and mem.pprof and prints
 # the top 25 nodes of the CPU profile and of the bytes allocated. Read
-# them further with: go tool pprof -top cpu.pprof
+# them further with: go tool pprof -top cpu.pprof. The verify half alone
+# (decode + bundle.Verify of a bundle built once, as every lmi-serve
+# start and reload pays it) has its own benchmark:
+#   go test -run '^$' -bench BenchmarkReleaseVerify -benchmem ./internal/bundle
 TIER ?= cycle
 profile:
 ifeq ($(TIER),release)

@@ -24,7 +24,7 @@
 // depth on.
 //
 // Bundle-backed serving is fail-closed: the bundle is verified (signature,
-// digests, and all three static passes re-run against the embedded
+// digests, and every static pass re-run against the embedded
 // certificates) before the listener opens, and a rejected bundle is a
 // nonzero exit, not a degraded server. SIGHUP re-reads the -bundle file
 // and hot-reloads it through the same verification; a rejected reload

@@ -14,10 +14,7 @@ import (
 // audit. `make profile TIER=release` runs it under the CPU and heap
 // profilers.
 func BenchmarkReleaseBuildVerify(b *testing.B) {
-	var specs []BuildSpec
-	for _, s := range workloads.All() {
-		specs = append(specs, BuildSpec{Workload: s.Name, Elide: true, Specialize: true})
-	}
+	specs := releaseSpecs()
 	b.ReportAllocs()
 	for range b.N {
 		built, err := Build(specs, 1)
@@ -39,4 +36,43 @@ func BenchmarkReleaseBuildVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReleaseVerify times only what every lmi-serve start and
+// hot reload pays: decoding the 28-entry elide + specialize bundle and
+// running Verify on it. The bundle is built, sealed and encoded once,
+// before the timer starts.
+func BenchmarkReleaseVerify(b *testing.B) {
+	built, err := Build(releaseSpecs(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Seal(testKey); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	encoded := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		decoded, err := Decode(bytes.NewReader(encoded))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Verify(decoded, trusted()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// releaseSpecs is every workload with elision and specialization.
+func releaseSpecs() []BuildSpec {
+	var specs []BuildSpec
+	for _, s := range workloads.All() {
+		specs = append(specs, BuildSpec{Workload: s.Name, Elide: true, Specialize: true})
+	}
+	return specs
 }

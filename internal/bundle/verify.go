@@ -203,7 +203,9 @@ func Verify(b *Bundle, trusted ed25519.PublicKey) (*Verified, error) {
 }
 
 // verifyEntry checks one entry: digest, decode, certificates, and the
-// three static passes re-run against them.
+// static passes re-run against them (lint, elide audit and race; the
+// specialize audit is the fourth, for an entry with a specialization
+// record).
 func verifyEntry(e *Entry, recomputed string) (*VerifiedEntry, error) {
 	reject := func(reason RejectReason, format string, args ...any) error {
 		return &RejectError{Reason: reason, Entry: e.Key(), Detail: fmt.Sprintf(format, args...)}

@@ -233,7 +233,12 @@ func (s *eState) copyFrom(src *eState) {
 	s.preds = src.preds
 }
 
-// auditor carries one elide-audit run.
+// auditor carries one elide-audit run. Abstract states are kept only
+// at run heads: a run is a head and the instructions after it that are
+// entered only by falling through from the one before, so the fixpoint
+// walks it from its head's entry state in one scratch state. Of the
+// instructions inside a run, judge needs only the E-hinted accesses'
+// address values, recorded as the walk passes them.
 type auditor struct {
 	p *isa.Program
 	c bounds.Contract
@@ -242,13 +247,25 @@ type auditor struct {
 	dimsOK     bool // the contract's launch dimensions are usable
 	bdx, gdx   int64
 	bdy, gdy   int64
+	head       []int32 // per instruction: its entry state's index in entries, or -1 inside a run
 	entries    []eState
 	reached    []bool
+	addr       []eVal // per instruction, set at E-hinted ones: the address register's entry value
 	incomplete bool
-	// Scratch states: the popped entry's post-state, a refined edge
-	// state, and a back-edge target's entry before the merge (the
-	// widening baseline).
-	st, est, old eState
+	// Scratch states: the walked run's current state, the pre-state of
+	// a predicated non-branch, a refined edge state, and a back-edge
+	// target's entry before the merge (the widening baseline).
+	st, pre, est, old eState
+}
+
+// runHead reports whether instruction pc starts a run: it is the entry,
+// or it is not entered only by falling through from pc-1. Every
+// successor of a BRA starts one, so a run never spans a refined edge.
+// Unlike a basic block (isa.CFG.Blocks), a run goes on past a BAR, a
+// predicated EXIT and an SSY target, where no state merges.
+func runHead(g *isa.CFG, p *isa.Program, pc int) bool {
+	preds := g.Preds(pc)
+	return pc == 0 || len(preds) != 1 || preds[0] != pc-1 || p.Instrs[pc-1].Op == isa.BRA
 }
 
 // ElideAudit re-derives the in-bounds-ness of every E (elide) hint from
@@ -256,6 +273,12 @@ type auditor struct {
 // contract and returns a KindUnsoundElide diagnostic, pinned to the
 // exact instruction, for every E bit it cannot independently justify.
 // A clean program (no E hints) audits clean by construction.
+//
+// The fixpoint holds entry states at run heads only. That suffices for
+// soundness: the states at the heads are a post-fixpoint and every
+// transfer is sound, so the state a walk reaches inside a run covers
+// every execution. It equals a per-instruction fixpoint on straight-line
+// code, and inside loops wherever the transfer is monotone.
 func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	hasE := false
 	for i := range p.Instrs {
@@ -282,14 +305,25 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	a.dimsOK = a.bdx >= 1 && a.bdx <= 1024 && a.gdx >= 1 && a.bdy >= 1 && a.gdy >= 1
 
 	n, w := len(p.Instrs), regWidth(p)
-	a.entries = make([]eState, n)
-	a.reached = make([]bool, n)
-	arena := make([]eVal, (n+3)*w)
-	carve := func(k int) []eVal { return arena[k*w : (k+1)*w : (k+1)*w] }
-	for i := range a.entries {
-		a.entries[i].regs = carve(i)
+	g := isa.NewCFG(p)
+	a.head = make([]int32, n)
+	heads := 0
+	for pc := range a.head {
+		a.head[pc] = -1
+		if runHead(g, p, pc) {
+			a.head[pc] = int32(heads)
+			heads++
+		}
 	}
-	a.st.regs, a.est.regs, a.old.regs = carve(n), carve(n+1), carve(n+2)
+	a.entries = make([]eState, heads)
+	a.reached = make([]bool, n)
+	a.addr = make([]eVal, n)
+	arena := make([]eVal, (heads+4)*w)
+	carve := func(k int) []eVal { return arena[k*w : (k+1)*w : (k+1)*w] }
+	for k := range a.entries {
+		a.entries[k].regs = carve(k)
+	}
+	a.st.regs, a.pre.regs, a.est.regs, a.old.regs = carve(heads), carve(heads+1), carve(heads+2), carve(heads+3)
 
 	// Entry: every register holds garbage (unknown), no predicate facts.
 	for r := range a.entries[0].regs {
@@ -297,27 +331,43 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 	}
 	a.reached[0] = true
 
-	g := isa.NewCFG(p)
 	work := isa.NewWorklist(n)
 	work.Push(0)
-	budget := 64*n + 1024
-	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
-		if budget--; budget < 0 {
-			a.incomplete = true
-			break
-		}
+	budget := 64*n + 1024 // instruction visits
+walk:
+	for h, ok := work.Pop(); ok; h, ok = work.Pop() {
 		st := &a.st
-		st.copyFrom(&a.entries[i])
-		a.transfer(i, st)
-		in := &p.Instrs[i]
-		if (in.Pred != isa.PT || in.PredNeg) && in.Op != isa.BRA {
-			// Predicated non-branch: inactive lanes keep the old state.
-			mergeState(st, &a.entries[i])
-		}
-		for _, e := range g.Succs(i) {
-			if a.mergeEntry(e.To, a.edgeState(i, e, st), e.To <= i) {
-				work.Push(e.To)
+		st.copyFrom(&a.entries[a.head[h]])
+		for i := h; ; {
+			if budget--; budget < 0 {
+				a.incomplete = true
+				break walk
 			}
+			in := &p.Instrs[i]
+			if in.Hint.E && in.Src[0] != isa.RZ {
+				a.addr[i] = st.regs[in.Src[0]]
+			}
+			guarded := (in.Pred != isa.PT || in.PredNeg) && in.Op != isa.BRA
+			if guarded {
+				a.pre.copyFrom(st)
+			}
+			a.transfer(i, st)
+			if guarded {
+				// Predicated non-branch: inactive lanes keep the old state.
+				mergeState(st, &a.pre)
+			}
+			succs := g.Succs(i)
+			if len(succs) == 1 && a.head[succs[0].To] < 0 {
+				i = succs[0].To
+				a.reached[i] = true
+				continue
+			}
+			for _, e := range succs {
+				if a.mergeEntry(e.To, a.edgeState(i, e, st), e.To <= i) {
+					work.Push(e.To)
+				}
+			}
+			break
 		}
 	}
 
@@ -332,7 +382,7 @@ func ElideAudit(p *isa.Program, c bounds.Contract) []Diag {
 				Reg: in.Src[0], Detail: "analysis budget exhausted; elision unverifiable"})
 			continue
 		}
-		if d, ok := a.judge(i, &a.entries[i]); !ok {
+		if d, ok := a.judge(i, a.addr[i]); !ok {
 			diags = append(diags, d)
 		}
 	}
@@ -373,11 +423,11 @@ func mergeState(dst, src *eState) bool {
 	return changed
 }
 
-// mergeEntry merges an edge state into instruction to's entry, widening
+// mergeEntry merges an edge state into run head to's entry, widening
 // on backward edges (every cycle closes through one, so the fixpoint
 // terminates without losing forward-edge refinement precision).
 func (a *auditor) mergeEntry(to int, st *eState, back bool) bool {
-	dst := &a.entries[to]
+	dst := &a.entries[a.head[to]]
 	if !a.reached[to] {
 		dst.copyFrom(st)
 		a.reached[to] = true
@@ -931,14 +981,14 @@ func orVals(x, y eVal) eVal {
 	return v
 }
 
-// judge decides whether the E hint on instruction i is justified by the
-// entry state, returning the diagnostic otherwise.
-func (a *auditor) judge(i int, st *eState) (Diag, bool) {
+// judge decides whether the E hint on instruction i is justified by v,
+// its address register's entry value, returning the diagnostic
+// otherwise.
+func (a *auditor) judge(i int, v eVal) (Diag, bool) {
 	in := &a.p.Instrs[i]
 	addr := in.Src[0]
-	v := evTop() // RZ traces to no allocation
-	if addr != isa.RZ {
-		v = st.regs[addr]
+	if addr == isa.RZ {
+		v = evTop() // RZ traces to no allocation
 	}
 	bad := func(format string, args ...any) (Diag, bool) {
 		return Diag{Kind: KindUnsoundElide, Instr: i, Op: in.Op.String(), Reg: addr,

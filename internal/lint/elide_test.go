@@ -94,30 +94,23 @@ func TestJudgeOverflowRejects(t *testing.T) {
 	a := &auditor{p: p, c: bounds.Contract{
 		CountParam: 2, CountMin: 1, CountMax: 1 << 15, PtrBytesPerCount: 4,
 	}, countOK: true}
-	st := eState{regs: make([]eVal, regWidth(p))}
-	for r := range st.regs {
-		st.regs[r] = evTop()
-	}
 
 	// PtrBytesPerCount*D wraps to MinInt64, flipping the coefficient's
 	// sign, and C+D*size wraps alongside it: unchecked, lhs <= rhs holds.
-	st.regs[3] = eVal{kind: ekParam, site: 0,
+	if _, ok := a.judge(0, eVal{kind: ekParam, site: 0,
 		iv:  bounds.Interval{Lo: 0, Hi: 1 << 61},
-		sym: bounds.SymUB{OK: true, A: 0, C: 0, D: 1 << 61}}
-	if _, ok := a.judge(0, &st); ok {
+		sym: bounds.SymUB{OK: true, A: 0, C: 0, D: 1 << 61}}); ok {
 		t.Error("param judge accepted a symbolic bound whose coefficient arithmetic wraps")
 	}
 
 	// off.Hi+size wraps negative, slipping under the allocation size.
-	st.regs[3] = eVal{kind: ekHeap, site: 0, bytes: 64,
-		iv: bounds.Interval{Lo: 0, Hi: math.MaxInt64 - 1}}
-	if _, ok := a.judge(0, &st); ok {
+	if _, ok := a.judge(0, eVal{kind: ekHeap, site: 0, bytes: 64,
+		iv: bounds.Interval{Lo: 0, Hi: math.MaxInt64 - 1}}); ok {
 		t.Error("heap judge accepted an offset whose end computation wraps")
 	}
 
-	st.regs[3] = eVal{kind: ekStack, site: 0,
-		iv: bounds.Interval{Lo: 0, Hi: math.MaxInt64 - 1}}
-	if _, ok := a.judge(0, &st); ok {
+	if _, ok := a.judge(0, eVal{kind: ekStack, site: 0,
+		iv: bounds.Interval{Lo: 0, Hi: math.MaxInt64 - 1}}); ok {
 		t.Error("stack judge accepted an offset whose end computation wraps")
 	}
 }

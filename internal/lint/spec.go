@@ -8,11 +8,11 @@ package lint
 // programs, the certificate, and the contract. The two sides share
 // only the mechanical replay (peval.ApplyTransform, so "what the log
 // produces" has a single definition) — every semantic judgment here
-// runs on the linter's own conditional constant analysis, recomputed
-// from scratch on the replayed program before each transform is
-// judged. A bug (or a chaos-tampered residual: a mutated instruction,
-// a forged log entry) on either side surfaces as a KindUnsoundSpec
-// diagnostic pinned to the exact instruction.
+// runs on the linter's own conditional constant analysis of the
+// replayed program as it stands before each transform is judged. A
+// bug (or a chaos-tampered residual: a mutated instruction, a forged
+// log entry) on either side surfaces as a KindUnsoundSpec diagnostic
+// pinned to the exact instruction.
 
 import (
 	"fmt"
@@ -391,7 +391,8 @@ func scTransfer(p *isa.Program, c bounds.Contract, d scDims, i int, st, out *scS
 // scAnalysis is the fixpoint: entry state and reachability per
 // instruction. Its storage (the in states, reached, the register arena
 // and the scratch states) is reused across analyses and grows on
-// demand: SpecializeAudit runs one fresh analysis per transform.
+// demand: SpecializeAudit keeps one analysis across the in-place
+// rewrites (keepsFixpoint) and re-runs it after every other transform.
 type scAnalysis struct {
 	p       *isa.Program
 	c       bounds.Contract
@@ -474,6 +475,37 @@ func (a *scAnalysis) analyze(p *isa.Program, c bounds.Contract) {
 	}
 }
 
+// keepsFixpoint reports whether the analysis of the program before
+// transform t is also the analysis of the program t produces, so the
+// replay can judge the next transform against it without re-running
+// the fixpoint. It holds for an in-place rewrite of one instruction
+// (the four folds and set-elide) that judgeTransform accepted as
+// sound:
+//
+//   - the CFG is unchanged: the replay folds only an instruction with
+//     a register destination or an immediate slot, never a BRA, EXIT,
+//     SSY or BAR, and sets the E bit only on a memory op;
+//   - at a reached pc, the judge has just proved that the folded value
+//     is the constant the old instruction computes from the kept
+//     in-state, and every state the fixpoint ever held there carries
+//     at least those facts, so old and new transfer agree on each of
+//     them; set-elide changes only the E bit, which scTransfer ignores;
+//   - an unreached pc is never transferred.
+//
+// So a fresh fixpoint over the rewritten program makes the same steps
+// and ends in the same states. A fold only removes register names, so
+// the kept states are at least as wide as a fresh analysis's. Drops,
+// unrolls and prune-taken change the CFG or the program's length, and
+// an unsound transform proves nothing; all of those re-run the
+// analysis.
+func keepsFixpoint(t peval.Transform, sound bool) bool {
+	switch t.Kind {
+	case peval.TFoldConst, peval.TFoldImm, peval.TFoldSReg, peval.TFoldCount, peval.TSetElide:
+		return sound
+	}
+	return false
+}
+
 // outState computes instruction i's post-state into out.
 func (a *scAnalysis) outState(i int, out *scState) {
 	scTransfer(a.p, a.c, a.d, i, &a.in[i], out)
@@ -512,7 +544,7 @@ func scFoldable(imm int64, v uint64) bool {
 }
 
 // judgeTransform re-derives one transform's semantic side conditions
-// on the current replay program under a fresh analysis. Transforms
+// on the current replay program under its analysis. Transforms
 // anchored in unreachable code are accepted: code no execution reaches
 // may be rewritten freely (and is dropped as unreachable anyway).
 func judgeTransform(p *isa.Program, a *scAnalysis, t peval.Transform, c bounds.Contract) (Diag, bool) {
@@ -885,9 +917,10 @@ func SpecializeAudit(original, residual *isa.Program, cert *peval.Certificate, c
 			cert.ResidualInstrs, len(residual.Instrs)))
 	}
 
-	// Replay the log, judging every transform against a fresh analysis
-	// of the current replay state (one analysis's storage serves them
-	// all).
+	// Replay the log, judging every transform against the analysis of
+	// the current replay state: kept across an in-place rewrite the
+	// judge accepted, re-run after any other transform (one analysis's
+	// storage serves them all).
 	a := &scAnalysis{}
 	p := &isa.Program{}
 	*p = *original
@@ -897,9 +930,13 @@ func SpecializeAudit(original, residual *isa.Program, cert *peval.Certificate, c
 		prov[i] = i
 	}
 	var replay []Diag
+	stale := true
 	for _, t := range cert.Transforms {
-		a.analyze(p, c)
-		if d, sound := judgeTransform(p, a, t, c); !sound {
+		if stale {
+			a.analyze(p, c)
+		}
+		d, sound := judgeTransform(p, a, t, c)
+		if !sound {
 			replay = append(replay, d)
 		}
 		q, pr, err := peval.ApplyTransform(p, prov, t)
@@ -908,6 +945,9 @@ func SpecializeAudit(original, residual *isa.Program, cert *peval.Certificate, c
 			break
 		}
 		p, prov = q, pr
+		if stale = !keepsFixpoint(t, sound); !stale {
+			a.p = p
+		}
 	}
 
 	// The shipped residual must be exactly the replayed program. These

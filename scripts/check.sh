@@ -199,11 +199,12 @@ cmp "$tmpdir/fleet-j1.jsonl" "$tmpdir/fleet-j4.jsonl"
 # build in canonical order on the deterministic runner pool and
 # ed25519 signatures are deterministic, so parallelism must never
 # change a byte. The bundle must then verify against the matching
-# public key (signature, per-entry digests, and the three static
-# passes re-run against the embedded certificates), and flipping a
-# single byte of the artifact must be a typed fail-closed rejection
-# (nonzero exit, "bundle rejected" on stderr) — the same path
-# lmi-serve takes before opening its listener or accepting a reload.
+# public key (signature, per-entry digests, and the static passes
+# re-run against the embedded certificates: three per entry here, four
+# for a :spec entry), and flipping a single byte of the artifact must
+# be a typed fail-closed rejection (nonzero exit, "bundle rejected" on
+# stderr) — the same path lmi-serve takes before opening its listener
+# or accepting a reload.
 echo "== signed bundle gate (build determinism, verify, tamper rejection)"
 devkey=0101010101010101010101010101010101010101010101010101010101010101
 devpub=$(go run ./cmd/lmi-compile -bundle "$tmpdir/bundle-j1.json" -key "$devkey" -jobs 1 \
