@@ -47,6 +47,13 @@ func TestCFGSuccessorRules(t *testing.T) {
 	if g.Reconv(1) != 4 || g.Reconv(2) != -1 {
 		t.Errorf("Reconv(1), Reconv(2) = %d, %d, want 4, -1", g.Reconv(1), g.Reconv(2))
 	}
+	// Runs go on past the SSY at 0 and the BAR at 4; a BRA's successor,
+	// a merge and an instruction no edge enters each start one.
+	for pc, head := range []bool{true, false, true, true, true, false, true, true} {
+		if g.RunHead(pc) != head {
+			t.Errorf("RunHead(%d) = %v, want %v", pc, g.RunHead(pc), head)
+		}
+	}
 	wantBlocks := []Block{{0, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}}
 	if got := g.Blocks(); !reflect.DeepEqual(got, wantBlocks) {
 		t.Errorf("Blocks() = %v, want %v", got, wantBlocks)
