@@ -84,9 +84,7 @@ func replayAgainstFresh(t *testing.T, name string, original *isa.Program, log []
 			break
 		}
 		p, prov = q, pr
-		if stale = !keepsFixpoint(tr, sound); !stale {
-			a.p = p
-		}
+		stale = !keepsFixpoint(tr, sound)
 	}
 	return kept
 }

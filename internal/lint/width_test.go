@@ -77,7 +77,7 @@ func TestAuditsSizeStateFromProgram(t *testing.T) {
 	checkSpec("identity", p, identity)
 
 	fold := peval.Transform{Kind: peval.TFoldImm, PC: 2, Imm: 8}
-	residual, _, err := peval.ApplyTransform(p, identity.Provenance, fold)
+	residual, _, err := peval.ApplyTransform(highRegProgram(), identity.Provenance, fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAuditsSizeStateFromProgram(t *testing.T) {
 	folded.Transforms = []peval.Transform{fold}
 	checkSpec("fold-imm", residual, &folded)
 	forged := peval.Transform{Kind: peval.TFoldImm, PC: 2, Imm: 9}
-	forgedResidual, _, err := peval.ApplyTransform(p, identity.Provenance, forged)
+	forgedResidual, _, err := peval.ApplyTransform(highRegProgram(), identity.Provenance, forged)
 	if err != nil {
 		t.Fatal(err)
 	}

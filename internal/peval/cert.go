@@ -166,12 +166,18 @@ func elidable(op isa.Opcode) bool {
 	return false
 }
 
-// ApplyTransform mechanically applies one transform to (a clone of) p,
-// maintaining the per-instruction provenance array, and returns the
-// rewritten program. It enforces structural integrity only — indices in
-// range, opcode shapes, hinted instructions immutable, branch targets
-// remappable; whether the transform's semantic side conditions hold is
-// the audit's judgment (lint.SpecializeAudit), not this function's.
+// ApplyTransform mechanically applies one transform to p, maintaining
+// the per-instruction provenance array, and returns the rewritten
+// program and provenance. The in-place kinds (set-elide, the folds,
+// prune-taken) rewrite one instruction of p itself and return p and
+// prov; a drop or an unroll, which change the program's length, build
+// a new program and provenance and leave p and prov untouched. A
+// caller that still needs p as it was copies it first. On error p and
+// prov are unchanged. It enforces structural integrity only — indices
+// in range, opcode shapes, hinted instructions immutable, branch
+// targets remappable; whether the transform's semantic side conditions
+// hold is the audit's judgment (lint.SpecializeAudit), not this
+// function's.
 func ApplyTransform(p *isa.Program, prov []int, t Transform) (*isa.Program, []int, error) {
 	if len(prov) != len(p.Instrs) {
 		return nil, nil, fmt.Errorf("peval: %s: provenance length %d != %d instructions",
@@ -182,9 +188,7 @@ func ApplyTransform(p *isa.Program, prov []int, t Transform) (*isa.Program, []in
 		if t.PC < 0 || t.PC >= len(p.Instrs) {
 			return nil, nil, fmt.Errorf("peval: %s: pc %d out of range [0, %d)", t.Kind, t.PC, len(p.Instrs))
 		}
-		q := cloneProgram(p)
-		pr := append([]int(nil), prov...)
-		in := &q.Instrs[t.PC]
+		in := &p.Instrs[t.PC]
 		switch t.Kind {
 		case TSetElide:
 			if !elidable(in.Op) {
@@ -233,7 +237,7 @@ func ApplyTransform(p *isa.Program, prov []int, t Transform) (*isa.Program, []in
 			}
 			in.Pred, in.PredNeg = isa.PT, false
 		}
-		return q, pr, nil
+		return p, prov, nil
 
 	case TDrop:
 		if len(t.Drops) == 0 {
