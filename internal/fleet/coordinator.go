@@ -409,12 +409,6 @@ func (c *Coordinator) snapshot() (serve.Stats, []LiveShard, []map[string]serve.B
 	return st, append([]LiveShard(nil), c.executed...), breakers
 }
 
-// Stats snapshots the fleet counters.
-func (c *Coordinator) Stats() serve.Stats {
-	st, _, _ := c.snapshot()
-	return st
-}
-
 // Handler returns the HTTP surface: POST /run, POST /reload, GET
 // /healthz, /readyz, /stats.
 func (c *Coordinator) Handler() http.Handler {

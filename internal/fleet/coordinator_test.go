@@ -196,7 +196,7 @@ func TestCoordinatorClientGoneStillDecided(t *testing.T) {
 		defer close(wedged)
 		c.Submit(wedgeCtx, serve.Request{Mechanism: "lmi", Kind: "control", Seed: seeds[0], Deadline: time.Nanosecond})
 	}()
-	waitFor(t, "the wedge to reach the worker", func() bool { return c.Stats().InFlight == 1 })
+	waitFor(t, "the wedge to reach the worker", func() bool { return liveStats(t, c).InFlight == 1 })
 
 	// Queue a second request behind the wedge, then abandon it.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -205,7 +205,7 @@ func TestCoordinatorClientGoneStillDecided(t *testing.T) {
 		_, err := c.Submit(ctx, serve.Request{Mechanism: "lmi", Kind: "control", Seed: seeds[1]})
 		gone <- err
 	}()
-	waitFor(t, "the second request to queue", func() bool { return c.Stats().Depth == 1 })
+	waitFor(t, "the second request to queue", func() bool { return liveStats(t, c).Depth == 1 })
 	cancel()
 	if err := <-gone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned Submit = %v, want wrapped context.Canceled", err)
@@ -239,6 +239,21 @@ func TestCoordinatorClientGoneStillDecided(t *testing.T) {
 	if found != 1 {
 		t.Fatalf("abandoned request has %d decision records, want 1", found)
 	}
+}
+
+// liveStats reads the fleet counters the way a client does, through
+// GET /stats on the coordinator's handler.
+func liveStats(t *testing.T, c *Coordinator) serve.Stats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var body struct {
+		Stats serve.Stats `json:"stats"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	return body.Stats
 }
 
 // waitFor polls cond until it holds, failing the test after 10s.

@@ -197,6 +197,21 @@ func TestServerStatsTier(t *testing.T) {
 	}
 }
 
+// liveStats reads the fleet counters the way a client does, through
+// GET /stats on the coordinator's handler.
+func liveStats(t *testing.T, c *fleet.Coordinator) Stats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var body struct {
+		Stats Stats `json:"stats"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("decode /stats: %v", err)
+	}
+	return body.Stats
+}
+
 // waitFor polls cond until it holds, failing the test after 10s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -228,7 +243,7 @@ func TestServerShedsWhenFull(t *testing.T) {
 		defer close(wedged)
 		s.Submit(ctx, Request{Mechanism: "lmi", Kind: "control", Seed: 1, Deadline: time.Nanosecond})
 	}()
-	waitFor(t, "the worker to take the first request", func() bool { return s.Stats().InFlight == 1 })
+	waitFor(t, "the worker to take the first request", func() bool { return liveStats(t, s).InFlight == 1 })
 
 	// Fill the only queue slot; the submitter parks waiting for a
 	// result that never comes until we cancel it.
@@ -238,12 +253,12 @@ func TestServerShedsWhenFull(t *testing.T) {
 		_, err := s.Submit(ctx, req)
 		parked <- err
 	}()
-	waitFor(t, "the second request to queue", func() bool { return s.Stats().Depth == 1 })
+	waitFor(t, "the second request to queue", func() bool { return liveStats(t, s).Depth == 1 })
 
 	if _, err := s.Submit(ctx, req); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third submit err = %v, want ErrOverloaded", err)
 	}
-	st := s.Stats()
+	st := liveStats(t, s)
 	if st.Shed != 1 || st.Accepted != 2 || st.HighWater != 1 {
 		t.Fatalf("stats = %+v, want accepted=2 shed=1 high water 1", st)
 	}

@@ -60,7 +60,6 @@ var allowlist = map[string]string{
 	"internal/experiments.Fig13For":             "internal/experiments/experiments_test.go",
 	"internal/experiments.RenderTable2":         "bench_test.go, internal/experiments/experiments_test.go",
 	"internal/fastsim.Cache.Stats":              "internal/fastsim/cache_test.go, cache_digest_test.go",
-	"internal/fleet.Coordinator.Stats":          "internal/fleet/coordinator_test.go, internal/serve/server_test.go",
 	"internal/gpu.Buffer.Free":                  "internal/gpu/gpu_test.go",
 	"internal/gpu.Buffer.Ptr":                   "internal/gpu/gpu_test.go",
 	"internal/gpu.Context.Device":               "internal/gpu/gpu_test.go",
