@@ -86,6 +86,7 @@ func Specialize(f *ir.Func, general, concrete bounds.Contract, opt Options) (*Re
 		Name: orig.Name, Shape: ShapeOf(concrete), Contract: concrete,
 		OrigInstrs: len(orig.Instrs),
 	}
+	// The working program: ApplyTransform rewrites it in place.
 	p := cloneProgram(orig)
 	prov := identityProv(len(orig.Instrs))
 	if concrete != (bounds.Contract{}) && Covers(general, concrete) {
