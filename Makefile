@@ -128,14 +128,17 @@ bench:
 # worker, then decoding it and running bundle.Verify; the test binary
 # goes to $TMPDIR, or /tmp). Writes cpu.pprof and mem.pprof and prints
 # the top 25 nodes of the CPU profile and of the bytes allocated. Read
-# them further with: go tool pprof -top cpu.pprof. The verify half alone
-# (decode + bundle.Verify of a bundle built once, as every lmi-serve
-# start and reload pays it) has its own benchmark:
-#   go test -run '^$' -bench BenchmarkReleaseVerify -benchmem ./internal/bundle
+# them further with: go tool pprof -top cpu.pprof. TIER=verify profiles
+# the verify half alone, as every lmi-serve start and reload pays it:
+# BenchmarkReleaseVerify, 20 decodes + bundle.Verify of the bundle built
+# once before the timer.
 TIER ?= cycle
 profile:
 ifeq ($(TIER),release)
 	$(GO) test -run '^$$' -bench BenchmarkReleaseBuildVerify -benchtime 4x -o "$${TMPDIR:-/tmp}/lmi-bundle.test" \
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/bundle
+else ifeq ($(TIER),verify)
+	$(GO) test -run '^$$' -bench BenchmarkReleaseVerify -benchtime 20x -benchmem -o "$${TMPDIR:-/tmp}/lmi-bundle.test" \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/bundle
 else
 	$(GO) run ./cmd/lmi-bench -fig 12 -jobs 1 -tier $(TIER) -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
