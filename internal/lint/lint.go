@@ -106,12 +106,15 @@ var intALU = map[isa.Opcode]bool{
 	isa.MOV: true, isa.SEL: true,
 }
 
-// linter carries one analysis run.
+// linter carries one analysis run. Entry states are kept only at run
+// heads (isa.CFG.RunHead), and each run is walked from its head's entry
+// in one scratch state, as the elide audit does.
 type linter struct {
 	p    *isa.Program
 	mode compiler.Mode
 
-	entries []regState // fixpoint entry state per instruction
+	head    []int32    // per instruction: its entry state's index in entries, or -1 inside a run
+	entries []regState // fixpoint entry state per run head; all-vBot until reached
 	ptrNeed []bool     // register-level "this instruction needs a hint" facts
 	diags   []Diag
 }
@@ -162,54 +165,95 @@ func CheckWithSource(p *isa.Program, mode compiler.Mode, src []compiler.SourceLo
 	return diags
 }
 
-// run drives the fixpoint and the reporting pass.
+// run drives the fixpoint (analyze) and the reporting pass, which walks
+// every reached run once more from its head's converged entry; only
+// that pass emits diagnostics and records ptrNeed and reachable. A run
+// is reached exactly when its head is.
 func run(p *isa.Program, mode compiler.Mode) (diags []Diag, ptrNeed, reachable []bool) {
-	n := len(p.Instrs)
-	l := &linter{p: p, mode: mode, entries: make([]regState, n), ptrNeed: make([]bool, n)}
-	if n == 0 {
-		return nil, l.ptrNeed, make([]bool, 0)
+	l := analyze(p, mode)
+	reachable = make([]bool, len(p.Instrs))
+	// A reached head's entry is never all-vBot: the entry state holds
+	// no vBot and no transfer or join makes one.
+	var st, pre regState
+	live := false
+	for i := range p.Instrs {
+		if k := l.head[i]; k >= 0 {
+			st = l.entries[k]
+			live = st != regState{}
+		}
+		if live {
+			reachable[i] = true
+			l.walkStep(i, &st, &pre, true)
+		}
 	}
+	return l.diags, l.ptrNeed, reachable
+}
+
+// analyze runs the fixpoint. It pops run heads and walks each run in
+// one scratch state: inside a run every instruction but the last has
+// exactly one successor, the next, and that next instruction has no
+// other predecessor, so its entry is the walked state itself. The walk
+// ends at the run's last instruction, whose post-state is joined into
+// each successor head's entry.
+func analyze(p *isa.Program, mode compiler.Mode) *linter {
+	n := len(p.Instrs)
+	l := &linter{p: p, mode: mode, ptrNeed: make([]bool, n)}
+	if n == 0 {
+		return l
+	}
+	g := isa.NewCFG(p)
+	l.head = make([]int32, n)
+	heads := 0
+	for pc := range l.head {
+		l.head[pc] = -1
+		if g.RunHead(pc) {
+			l.head[pc] = int32(heads)
+			heads++
+		}
+	}
+	l.entries = make([]regState, heads)
 
 	// Entry state: every register holds plain data (uninitialized
 	// registers carry garbage, which the contract treats as data — using
 	// one as an address is itself a violation).
-	var init regState
-	for r := range init {
-		init[r] = vData
+	for r := range l.entries[0] {
+		l.entries[0][r] = vData
 	}
-	l.entries[0] = init
 
-	g := isa.NewCFG(p)
 	work := isa.NewWorklist(n)
 	work.Push(0)
-	var empty regState
-	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
-		st := l.entries[i]
-		l.step(i, &st, false)
-		in := &p.Instrs[i]
-		if in.Pred != isa.PT || in.PredNeg {
-			// Predicated: lanes may skip the effect, so the successor
-			// sees the join of effect and identity.
-			entry := l.entries[i]
-			mergeInto(&st, &entry)
-		}
-		for _, e := range g.Succs(i) {
-			if mergeInto(&l.entries[e.To], &st) {
-				work.Push(e.To)
+	var st, pre regState
+	for h, ok := work.Pop(); ok; h, ok = work.Pop() {
+		st = l.entries[l.head[h]]
+		for i := h; ; i++ {
+			l.walkStep(i, &st, &pre, false)
+			succs := g.Succs(i)
+			if len(succs) == 1 && l.head[succs[0].To] < 0 {
+				continue // succs[0].To is i+1, inside the run
 			}
+			for _, e := range succs {
+				if mergeInto(&l.entries[l.head[e.To]], &st) {
+					work.Push(e.To)
+				}
+			}
+			break
 		}
 	}
+	return l
+}
 
-	reachable = make([]bool, n)
-	for i := 0; i < n; i++ {
-		if l.entries[i] == empty {
-			continue // never reached: all-vBot entry state
-		}
-		reachable[i] = true
-		st := l.entries[i]
-		l.step(i, &st, true)
+// walkStep advances st past instruction i, pre being scratch. A
+// predicated instruction's lanes may skip its effect, so the state
+// after it is the join of effect and identity.
+func (l *linter) walkStep(i int, st, pre *regState, report bool) {
+	in := &l.p.Instrs[i]
+	if in.Pred == isa.PT && !in.PredNeg {
+		l.step(i, st, report)
+		return
 	}
-	return l.diags, l.ptrNeed, reachable
+	*pre = *st
+	l.step(i, st, report)
+	mergeInto(st, pre)
 }
 
 // step applies the abstract transfer of instruction i to st. With
