@@ -17,6 +17,7 @@ package lint
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lmi/internal/bounds"
 	"lmi/internal/compiler"
@@ -388,24 +389,27 @@ func scTransfer(p *isa.Program, c bounds.Contract, d scDims, i int, st, out *scS
 	}
 }
 
-// scAnalysis is the fixpoint: entry state and reachability per
-// instruction. Its storage (the in states, reached, the register arena
-// and the scratch states) is reused across analyses: SpecializeAudit
-// sizes it once (reserve) for the longer of the original and the
-// residual, keeps one analysis across the in-place rewrites
-// (keepsFixpoint) and re-runs it after every other transform. p is the
-// replay's working program itself, which the in-place rewrites change
-// under the kept analysis; never a copy of it.
+// scAnalysis is the fixpoint: reachability per instruction, entry
+// states at run heads (isa.CFG.RunHead), and in-states at the kept pcs,
+// the only ones the judges read. Each run is walked from its head's
+// entry in one scratch state, and the walk copies its state at every
+// kept pc it passes. SpecializeAudit keeps one analysis across the
+// in-place rewrites (keepsFixpoint) and re-runs it after every other
+// transform, reusing the storage. p is the replay's working program
+// itself, which the in-place rewrites change under the kept analysis;
+// never a copy of it.
 type scAnalysis struct {
 	p       *isa.Program
 	c       bounds.Contract
 	d       scDims
 	g       *isa.CFG
-	in      []scState
+	head    []int32   // per instruction: its entry state's index in states, or -1 inside a run
+	slot    []int32   // per instruction: its kept in-state's index in states, or -1
+	states  []scState // run-head entry states, then kept in-states
 	reached []bool
 	arena   []scVal
-	// Scratch states: the popped entry state and its post-state, the
-	// unroll judgment's loop-entry meet and its per-trip body state.
+	// Scratch states: the walked state and its post-state, the unroll
+	// judgment's loop-entry meet and its per-trip body state.
 	st, out, entry, trip scState
 }
 
@@ -421,69 +425,141 @@ func (a *scAnalysis) live(i int, e isa.Edge, st *scState) bool {
 	return !gknown || gval == e.Taken
 }
 
-// liveTo reports whether a live edge leads from i to h.
-func (a *scAnalysis) liveTo(i, h int) bool {
+// liveTo reports whether a live edge leads from i, in state st, to h.
+func (a *scAnalysis) liveTo(i, h int, st *scState) bool {
 	for _, e := range a.g.Succs(i) {
-		if e.To == h && a.live(i, e, &a.in[i]) {
+		if e.To == h && a.live(i, e, st) {
 			return true
 		}
 	}
 	return false
 }
 
+// at returns the kept in-state of a reached instruction. ok is false
+// when the analysis kept no state at pc, which a judge reports as
+// unsound rather than guess.
+func (a *scAnalysis) at(pc int) (st *scState, ok bool) {
+	if k := a.slot[pc]; k >= 0 {
+		return &a.states[k], true
+	}
+	return nil, false
+}
+
+// keptPCs calls keep with every pc a judge reads while this analysis
+// serves the log: from its first transform up to and including the
+// first that keepsFixpoint does not keep. An in-place or unknown kind
+// reads its PC, a drop each dropped PC, an unroll the predecessors of
+// its head. Out-of-range pcs are left out; the judges reject them
+// before reading.
+func (a *scAnalysis) keptPCs(log []peval.Transform, keep func(pc int)) {
+	n := len(a.p.Instrs)
+	inRange := func(pc int) bool { return pc >= 0 && pc < n }
+	for _, t := range log {
+		switch t.Kind {
+		case peval.TDrop:
+			for _, d := range t.Drops {
+				if inRange(d.PC) {
+					keep(d.PC)
+				}
+			}
+		case peval.TUnroll:
+			if t.Unroll != nil && inRange(t.Unroll.Head) {
+				for _, i := range a.g.Preds(t.Unroll.Head) {
+					keep(i)
+				}
+			}
+		default:
+			if inRange(t.PC) {
+				keep(t.PC)
+			}
+		}
+		if !keepsFixpoint(t, true) {
+			return
+		}
+	}
+}
+
 // analyze runs the conditional constant propagation over p to
-// fixpoint, from scratch: nothing of a previous analysis survives but
-// its storage. Only reached instructions' in states are ever read, and
-// each is overwritten whole when first reached.
-func (a *scAnalysis) analyze(p *isa.Program, c bounds.Contract) {
+// fixpoint, from scratch, keeping in-states at the pcs the judges of
+// log read (keptPCs): nothing of a previous analysis survives but its
+// storage. Every state is overwritten whole when first reached.
+//
+// A run's instructions are reached one after another by the walk; only
+// a predicated EXIT whose guard is proven true stops it mid-run. The
+// states only lose facts as the fixpoint proceeds and the transfer is
+// monotone, so a guard once unknown stays unknown and reached only
+// grows, and each run's last walk, from its head's converged entry,
+// leaves the state the per-instruction fixpoint would hold at every
+// instruction of the run.
+func (a *scAnalysis) analyze(p *isa.Program, c bounds.Contract, log []peval.Transform) {
 	n, w := len(p.Instrs), regWidth(p)
 	a.p, a.c, a.d, a.g = p, c, scDimsOf(c), isa.NewCFG(p)
-	a.reserve(n, w)
-	a.in, a.reached = a.in[:n], a.reached[:n]
+	a.head = slices.Grow(a.head[:0], n)[:n]
+	a.slot = slices.Grow(a.slot[:0], n)[:n]
+	a.reached = slices.Grow(a.reached[:0], n)[:n]
 	clear(a.reached)
-	carve := func(k int) []scVal { return a.arena[k*w : (k+1)*w : (k+1)*w] }
-	for i := range a.in {
-		a.in[i].regs = carve(i)
+	states := 0
+	for pc := range n {
+		a.head[pc], a.slot[pc] = -1, -1
+		if a.g.RunHead(pc) {
+			a.head[pc] = int32(states)
+			states++
+		}
 	}
-	a.st.regs, a.out.regs, a.entry.regs, a.trip.regs = carve(n), carve(n+1), carve(n+2), carve(n+3)
+	a.keptPCs(log, func(pc int) {
+		if a.slot[pc] < 0 {
+			a.slot[pc] = int32(states)
+			states++
+		}
+	})
+	a.states = slices.Grow(a.states[:0], states)[:states]
+	a.arena = slices.Grow(a.arena[:0], (states+4)*w)[:(states+4)*w]
+	carve := func(k int) []scVal { return a.arena[k*w : (k+1)*w : (k+1)*w] }
+	for k := range a.states {
+		a.states[k].regs = carve(k)
+	}
+	a.st.regs, a.out.regs, a.entry.regs, a.trip.regs = carve(states), carve(states+1), carve(states+2), carve(states+3)
 	if n == 0 {
 		return
 	}
 	work := isa.NewWorklist(n)
 	work.Push(0)
-	scEntryState(&a.in[0])
+	scEntryState(&a.states[0])
 	a.reached[0] = true
-	st, out := &a.st, &a.out
-	for i, ok := work.Pop(); ok; i, ok = work.Pop() {
-		st.copyFrom(&a.in[i])
-		scTransfer(p, c, a.d, i, st, out)
-		for _, e := range a.g.Succs(i) {
-			if !a.live(i, e, st) {
+	for h, ok := work.Pop(); ok; h, ok = work.Pop() {
+		st, out := &a.st, &a.out
+		st.copyFrom(&a.states[a.head[h]])
+		for i := h; ; {
+			if k := a.slot[i]; k >= 0 {
+				a.states[k].copyFrom(st)
+			}
+			scTransfer(p, c, a.d, i, st, out)
+			succs := a.g.Succs(i)
+			if len(succs) == 1 && a.head[succs[0].To] < 0 {
+				// succs[0].To is i+1, inside the run.
+				if !a.live(i, succs[0], st) {
+					break
+				}
+				i = succs[0].To
+				a.reached[i] = true
+				st, out = out, st
 				continue
 			}
-			if !a.reached[e.To] {
-				a.reached[e.To] = true
-				a.in[e.To].copyFrom(out)
-				work.Push(e.To)
-			} else if a.in[e.To].meet(out) {
-				work.Push(e.To)
+			for _, e := range succs {
+				if !a.live(i, e, st) {
+					continue
+				}
+				dst := &a.states[a.head[e.To]]
+				if !a.reached[e.To] {
+					a.reached[e.To] = true
+					dst.copyFrom(out)
+					work.Push(e.To)
+				} else if dst.meet(out) {
+					work.Push(e.To)
+				}
 			}
+			break
 		}
-	}
-}
-
-// reserve grows the storage to analyze n instructions of width w, to a
-// quarter more than asked: the replay's unrolls lengthen the program
-// step by step, and past its final length before the drops that
-// follow, so each growth leaves room for the next few.
-func (a *scAnalysis) reserve(n, w int) {
-	if cap(a.in) < n {
-		m := n + n/4
-		a.in = make([]scState, m)
-		a.reached = make([]bool, m)
-	}
-	if need := (n + 4) * w; cap(a.arena) < need {
-		a.arena = make([]scVal, need+need/4)
 	}
 }
 
@@ -494,18 +570,22 @@ func (a *scAnalysis) reserve(n, w int) {
 // (the four folds and set-elide) that judgeTransform accepted as
 // sound:
 //
-//   - the CFG is unchanged: the replay folds only an instruction with
-//     a register destination or an immediate slot, never a BRA, EXIT,
-//     SSY or BAR, and sets the E bit only on a memory op;
+//   - the CFG, and with it the run partition, is unchanged: the replay
+//     folds only an instruction with a register destination or an
+//     immediate slot, never a BRA, EXIT, SSY or BAR, and sets the E
+//     bit only on a memory op;
 //   - at a reached pc, the judge has just proved that the folded value
-//     is the constant the old instruction computes from the kept
-//     in-state, and every state the fixpoint ever held there carries
-//     at least those facts, so old and new transfer agree on each of
-//     them; set-elide changes only the E bit, which scTransfer ignores;
+//     is the constant the old instruction computes from its in-state,
+//     and every state the fixpoint ever held there carries at least
+//     those facts, so old and new transfer agree on each of them;
+//     set-elide changes only the E bit, which scTransfer ignores;
 //   - an unreached pc is never transferred.
 //
 // So a fresh fixpoint over the rewritten program makes the same steps
-// and ends in the same states. A fold only removes register names, so
+// and ends in the same states, at the run heads and at every kept pc.
+// The kept pcs already cover the judges of every transform up to the
+// next re-analysis: analyze took them from the log (keptPCs), and an
+// in-place rewrite moves no pc. A fold only removes register names, so
 // the kept states are at least as wide as a fresh analysis's. Drops,
 // unrolls and prune-taken change the CFG or the program's length, and
 // an unsound transform proves nothing; all of those re-run the
@@ -516,11 +596,6 @@ func keepsFixpoint(t peval.Transform, sound bool) bool {
 		return sound
 	}
 	return false
-}
-
-// outState computes instruction i's post-state into out.
-func (a *scAnalysis) outState(i int, out *scState) {
-	scTransfer(a.p, a.c, a.d, i, &a.in[i], out)
 }
 
 // ---- the audit ----
@@ -577,7 +652,10 @@ func judgeTransform(p *isa.Program, a *scAnalysis, t peval.Transform, c bounds.C
 	if !a.reached[t.PC] {
 		return ok, true
 	}
-	st := &a.in[t.PC]
+	st, kept := a.at(t.PC)
+	if !kept {
+		return bad("no analysis state kept at pc %d", t.PC)
+	}
 	switch t.Kind {
 	case peval.TSetElide:
 		// Structural only: the E bit's in-bounds proof is re-derived for
@@ -717,7 +795,11 @@ func judgeDrop(p *isa.Program, a *scAnalysis, t peval.Transform) (Diag, bool) {
 			if in.Op != isa.BRA || scUnpred(in) {
 				return bad("branch-false drop of a non-predicated-branch")
 			}
-			if known, val := a.in[d.PC].guard(in); !known || val {
+			st, kept := a.at(d.PC)
+			if !kept {
+				return bad("no analysis state kept at pc %d", d.PC)
+			}
+			if known, val := st.guard(in); !known || val {
 				return bad("branch guard is not proven always-false under the contract")
 			}
 		case peval.DropDead:
@@ -836,10 +918,17 @@ func judgeUnroll(p *isa.Program, a *scAnalysis, t peval.Transform) (Diag, bool) 
 	entry, out := &a.entry, &a.out
 	found := false
 	for _, i := range a.g.Preds(h) {
-		if !a.reached[i] || i == be || !a.liveTo(i, h) {
+		if !a.reached[i] || i == be {
 			continue
 		}
-		a.outState(i, out)
+		st, kept := a.at(i)
+		if !kept {
+			return bad(i, "unroll: no analysis state kept at loop-entry predecessor %d", i)
+		}
+		if !a.liveTo(i, h, st) {
+			continue
+		}
+		scTransfer(a.p, a.c, a.d, i, st, out)
 		if !found {
 			entry.copyFrom(out)
 			found = true
@@ -934,9 +1023,8 @@ func SpecializeAudit(original, residual *isa.Program, cert *peval.Certificate, c
 	// across an in-place rewrite the judge accepted, re-run after any
 	// other transform. The in-place kinds rewrite the working program
 	// under the kept analysis; only a drop or an unroll replaces it.
-	// One analysis's storage, sized up front, serves them all.
+	// One analysis's storage serves them all.
 	a := &scAnalysis{}
-	a.reserve(max(len(original.Instrs), len(residual.Instrs)), regWidth(original))
 	p := &isa.Program{}
 	*p = *original
 	p.Instrs = append([]isa.Instr(nil), original.Instrs...)
@@ -946,9 +1034,9 @@ func SpecializeAudit(original, residual *isa.Program, cert *peval.Certificate, c
 	}
 	var replay []Diag
 	stale := true
-	for _, t := range cert.Transforms {
+	for k, t := range cert.Transforms {
 		if stale {
-			a.analyze(p, c)
+			a.analyze(p, c, cert.Transforms[k:])
 		}
 		d, sound := judgeTransform(p, a, t, c)
 		if !sound {
