@@ -377,25 +377,36 @@ func (b *Bundle) WriteFile(path string) error {
 
 // Decode reads a bundle from r. Decode errors are typed Malformed
 // rejections: an unparseable bundle is an artifact to refuse, not an
-// I/O detail.
+// I/O detail. A reader that reports its unread length (bytes.Reader,
+// strings.Reader, bytes.Buffer) is read into one buffer of that size.
 func Decode(r io.Reader) (*Bundle, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// ReadFrom grows the buffer unless bytes.MinRead bytes are free,
+		// so the read that meets EOF needs that much room past the data.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("bundle: read: %w", err)
 	}
+	return unmarshal(buf.Bytes())
+}
+
+// ReadFile decodes the bundle at path, read into one buffer of the
+// size the file reports.
+func ReadFile(path string) (*Bundle, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("bundle: %w", err)
+	}
+	return unmarshal(raw)
+}
+
+// unmarshal decodes the whole of raw, so trailing data is refused too.
+func unmarshal(raw []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(raw, &b); err != nil {
 		return nil, &RejectError{Reason: ReasonMalformed, Detail: err.Error()}
 	}
 	return &b, nil
-}
-
-// ReadFile decodes the bundle at path.
-func ReadFile(path string) (*Bundle, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("bundle: %w", err)
-	}
-	defer f.Close()
-	return Decode(f)
 }

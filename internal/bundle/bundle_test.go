@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -263,6 +265,68 @@ func TestDecodeMalformed(t *testing.T) {
 	_, err := Decode(strings.NewReader("not json"))
 	if got := reason(t, err); got != ReasonMalformed {
 		t.Fatalf("reason %q, want malformed", got)
+	}
+
+	// Decode reads the whole input, so trailing data and a truncated
+	// bundle are refused through every reader: one that reports its
+	// length, one that does not, and a file through ReadFile.
+	var buf bytes.Buffer
+	if err := (&Bundle{Version: Version}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"trailing":  append(append([]byte(nil), valid...), `{}`...),
+		"truncated": valid[:len(valid)/2],
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errLen := Decode(bytes.NewReader(data))
+		_, errNoLen := Decode(io.MultiReader(bytes.NewReader(data)))
+		_, errFile := ReadFile(path)
+		for _, err := range []error{errLen, errNoLen, errFile} {
+			if got := reason(t, err); got != ReasonMalformed {
+				t.Fatalf("%s: reason %q, want malformed", name, got)
+			}
+		}
+	}
+}
+
+// TestDecodeReaders: a bundle decodes the same through a reader that
+// reports its length, one that does not, and ReadFile.
+func TestDecodeReaders(t *testing.T) {
+	b, err := Build([]BuildSpec{{Workload: "bfs", Elide: true}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Seal(testKey); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "b.json")
+	if err := b.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(io.MultiReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLen, err := Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromLen, want) || !reflect.DeepEqual(fromFile, want) {
+		t.Fatal("the bundle decodes differently through different readers")
 	}
 }
 
