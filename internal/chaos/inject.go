@@ -335,12 +335,13 @@ func misroundTag(val uint64, r *rng) (uint64, string) {
 		e, ne, core.DefaultCodec.SizeForExtent(e), core.DefaultCodec.SizeForExtent(ne))
 }
 
-// ocuMisdecode wraps a mechanism with a faulty OCU decoder: each
-// CheckPointerOp invocation is skipped with probability 1/8, decided by
-// a hash of the trial seed and the call index, so the same seed skips
-// the same checks regardless of worker count. The wrapper watches the
-// EC hook's cycle stamps to record the (approximate) cycle of the first
-// skipped check, giving the campaign an injection time for its
+// ocuMisdecode wraps a mechanism with a faulty OCU decoder: each exec
+// lane's pointer check is skipped with probability 1/8, decided by a
+// hash of the trial seed and the call index, which advances once per
+// exec lane in ascending lane order, so the same seed skips the same
+// checks regardless of worker count. The wrapper watches the EC hook's
+// cycle stamps to record the (approximate) cycle of the first skipped
+// check, giving the campaign an injection time for its
 // detection-latency measurement.
 type ocuMisdecode struct {
 	sim.Mechanism
@@ -353,20 +354,26 @@ type ocuMisdecode struct {
 	injected    bool
 }
 
-// CheckPointerOp implements sim.Mechanism with the decode fault.
-func (o *ocuMisdecode) CheckPointerOp(in, out uint64) (uint64, uint64) {
-	i := o.calls
-	o.calls++
-	if splitmix64(o.seed^splitmix64(i+1))%8 == 0 {
+// CheckPointerOp implements sim.Mechanism with the decode fault. A
+// misdecoded lane ignores the hint: it keeps its raw result and adds no
+// OCU latency. The other exec lanes go to the wrapped mechanism in one
+// call.
+func (o *ocuMisdecode) CheckPointerOp(ptr, res *[32]uint64, exec uint32) uint64 {
+	checked := exec
+	for m := exec; m != 0; m &= m - 1 {
+		i := o.calls
+		o.calls++
+		if splitmix64(o.seed^splitmix64(i+1))%8 != 0 {
+			continue
+		}
 		o.skips++
 		if !o.injected {
 			o.injected = true
 			o.injectCycle = o.lastCycle
 		}
-		// Misdecode: the hint is ignored — no check, no OCU latency.
-		return out, 0
+		checked &^= m & -m
 	}
-	return o.Mechanism.CheckPointerOp(in, out)
+	return o.Mechanism.CheckPointerOp(ptr, res, checked)
 }
 
 // CheckAccess implements sim.Mechanism, recording the current cycle. It

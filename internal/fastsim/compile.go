@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"lmi/internal/isa"
-	"lmi/internal/mem"
 )
 
 // opFn is one compiled instruction: it executes the instruction for a
@@ -264,12 +263,7 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 				// watchdog.
 				e.MemInstrs[isa.LDC]++
 			}
-			cw := mem.NewPageWin(e.CBank)
-			ar, dr := w.row(a), w.row(d)
-			for m := exec; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				dr[lane] = cw.Load(ar[lane]+off, size)
-			}
+			e.LoadConst(w.row(d), w.row(a), exec, off, size)
 			return exec
 		}, nil
 	case isa.LDG, isa.STG, isa.LDS, isa.STS, isa.LDL, isa.STL, isa.ATOMG, isa.ATOMS:
@@ -295,10 +289,10 @@ func (cc *compiler) instrClosure(in *isa.Instr, pc int) (opFn, error) {
 // sign-extended 32-bit value when the kernel says so. A full warp
 // computes straight into the destination row; a partial one computes
 // into the engine's result row and copies the exec lanes. When the
-// Activation hint is set, the commit instead runs the mechanism's
-// pointer check on each exec lane in ascending order (the S hint selects
-// the pointer operand), as the cycle simulator's finishInt does; the
-// unhinted form carries no pointer-check state.
+// Activation hint is set, the result row first goes through the OCU site
+// (sim.Exec.PointerOp, with the pointer operand the S hint selects), as
+// the cycle simulator's finishInt does; the unhinted form carries no
+// pointer-check state.
 func (cc *compiler) aluClosure(in *isa.Instr, g guard) opFn {
 	k := in.ALU()
 	fn, narrow, sel := k.Row, k.Narrow, k.Sel
@@ -337,25 +331,13 @@ func (cc *compiler) aluClosure(in *isa.Instr, g guard) opFn {
 	return func(e *engine, w *fwarp, active uint32) uint32 {
 		exec := g.exec(w, active)
 		e.Count(exec)
-		// Every executing lane runs exactly one pointer check
-		// (CheckPointerOp cannot fault), so the counter hoists out of
-		// the lane loop.
-		e.Stats.PointerChecks += uint64(bits.OnesCount32(exec))
-		res := &e.res
+		res, dr := &e.res, w.row(d)
 		fn(res, w.row(a), w.row(b), w.row(c), w.preds[sel])
-		pr, dr := w.row(ptr), w.row(d)
-		extraMax := uint64(0)
+		w.vtime += e.PointerOp(w.row(ptr), res, exec, narrow)
 		for m := exec; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			v := res[l]
-			if narrow {
-				v = isa.Sx32(int32(v))
-			}
-			out, extra := e.mech.CheckPointerOp(pr[l], v)
-			extraMax = max(extraMax, extra)
-			dr[l] = out
+			dr[l] = res[l]
 		}
-		w.vtime += extraMax
 		return exec
 	}
 }

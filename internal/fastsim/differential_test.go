@@ -23,53 +23,72 @@ import (
 // changing control flow cannot pass.
 func launchBoth(t *testing.T, prog *isa.Program, v workloads.Variant, cfg sim.Config, grid, block int, n uint64) (cycle, fast *sim.KernelStats) {
 	t.Helper()
-	size := int(n * 4)
-	init := make([]byte, size)
-	for i := range init {
-		init[i] = byte(i%255 + 1)
-	}
-	run := func(tier fastsim.Tier) (*sim.KernelStats, []byte) {
-		dev, err := sim.NewDevice(cfg, workloads.NewMechanism(v))
-		if err != nil {
-			t.Fatalf("device: %v", err)
-		}
-		in, err := dev.Malloc(uint64(size))
-		if err != nil {
-			t.Fatalf("malloc: %v", err)
-		}
-		out, err := dev.Malloc(uint64(size))
-		if err != nil {
-			t.Fatalf("malloc: %v", err)
-		}
-		dev.WriteGlobal(in, init)
-		st, err := fastsim.LaunchTierCtx(context.Background(), tier, dev, prog, grid, block, []uint64{in, out, n})
-		if err != nil {
-			t.Fatalf("%v tier: %v", tier, err)
-		}
-		mem := append(dev.ReadGlobal(in, size), dev.ReadGlobal(out, size)...)
-		// out[n-1] is masked: the workload kernels clamp every
-		// past-the-end element index to n-1, so each of those threads
-		// stores its own accumulator there. That is an unordered global
-		// write-write, and its last writer depends on the schedule.
-		clear(mem[2*size-4:])
-		return st, mem
-	}
-	cycle, cmem := run(fastsim.TierCycle)
-	fast, fmem := run(fastsim.TierCompiled)
+	cycle, cmem, _ := launchTier(t, fastsim.TierCycle, prog, v, cfg, grid, block, n)
+	fast, fmem, _ := launchTier(t, fastsim.TierCompiled, prog, v, cfg, grid, block, n)
 	if cycle.Halted || fast.Halted || len(cycle.Faults) != 0 || len(fast.Faults) != 0 {
 		return cycle, fast
 	}
-	for i := range cmem {
-		if cmem[i] != fmem[i] {
+	diffMem(t, prog.Name+"/"+v.String(), "cycle", cmem, "compiled", fmem)
+	return cycle, fast
+}
+
+// launchTier runs one program on a fresh device of one tier, with in
+// (the first parameter) and out (the second) n 4-byte words each and in
+// holding deterministic non-zero bytes. It returns the statistics, the
+// final bytes of in followed by those of out, and in's address.
+func launchTier(t *testing.T, tier fastsim.Tier, prog *isa.Program, v workloads.Variant, cfg sim.Config, grid, block int, n uint64) (*sim.KernelStats, []byte, uint64) {
+	t.Helper()
+	size := int(n * 4)
+	dev, err := sim.NewDevice(cfg, workloads.NewMechanism(v))
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	in, err := dev.Malloc(uint64(size))
+	if err != nil {
+		t.Fatalf("malloc: %v", err)
+	}
+	out, err := dev.Malloc(uint64(size))
+	if err != nil {
+		t.Fatalf("malloc: %v", err)
+	}
+	dev.WriteGlobal(in, inBytes(size))
+	st, err := fastsim.LaunchTierCtx(context.Background(), tier, dev, prog, grid, block, []uint64{in, out, n})
+	if err != nil {
+		t.Fatalf("%v tier: %v", tier, err)
+	}
+	mem := append(dev.ReadGlobal(in, size), dev.ReadGlobal(out, size)...)
+	// out[n-1] is masked: the workload kernels clamp every past-the-end
+	// element index to n-1, so each of those threads stores its own
+	// accumulator there. That is an unordered global write-write, and
+	// its last writer depends on the schedule.
+	clear(mem[2*size-4:])
+	return st, mem, in
+}
+
+// inBytes is the initial content of launchTier's in buffer.
+func inBytes(size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(i%255 + 1)
+	}
+	return b
+}
+
+// diffMem reports the first byte where two in-then-out memory images
+// differ.
+func diffMem(t *testing.T, label, aName string, a []byte, bName string, b []byte) {
+	t.Helper()
+	size := len(a) / 2
+	for i := range a {
+		if a[i] != b[i] {
 			buf, off := "in", i
 			if i >= size {
 				buf, off = "out", i-size
 			}
-			t.Errorf("%s/%v: %s byte %d diverges: cycle=%#02x compiled=%#02x", prog.Name, v, buf, off, cmem[i], fmem[i])
-			break
+			t.Errorf("%s: %s byte %d diverges: %s=%#02x %s=%#02x", label, buf, off, aName, a[i], bName, b[i])
+			return
 		}
 	}
-	return cycle, fast
 }
 
 // faultProjection renders a fault record without its scheduling

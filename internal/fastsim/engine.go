@@ -24,11 +24,9 @@ type fwarp struct {
 	// register rows come the zero row RZ reads, the discard row RZ
 	// writes go to, and one broadcast row per distinct immediate
 	// (Compiled.consts); compiled closures address every operand by row.
-	rf    []uint64
-	preds [8]uint32 // predicate files as lane bitmasks; preds[PT] = launchMask
-	// locals holds each lane's local memory, created on the lane's first
-	// local access and reset, not dropped, for every block.
-	locals []*mem.AddrSpace
+	rf     []uint64
+	preds  [8]uint32  // predicate files as lane bitmasks; preds[PT] = launchMask
+	locals sim.Locals // each lane's local memory
 
 	sim.SIMT
 
@@ -54,16 +52,6 @@ type fwarp struct {
 // row returns row r of the warp's register file.
 func (w *fwarp) row(r int) *[32]uint64 { return (*[32]uint64)(w.rf[r*32 : r*32+32]) }
 
-// local returns a lane's local memory, creating it on first use.
-func (w *fwarp) local(lane int) *mem.AddrSpace {
-	lm := w.locals[lane]
-	if lm == nil {
-		lm = mem.NewAddrSpace()
-		w.locals[lane] = lm
-	}
-	return lm
-}
-
 // engine is the transient state of one compiled-tier kernel execution:
 // the state both tiers share plus the compiled tier's own.
 type engine struct {
@@ -72,8 +60,6 @@ type engine struct {
 	ctxArmed bool
 	c        *Compiled
 	cfg      *sim.Config
-	mech     sim.Mechanism
-	global   *mem.AddrSpace
 	shared   *mem.AddrSpace // the current block's, reset for every block
 
 	ctaid int
@@ -121,8 +107,6 @@ func (c *Compiled) LaunchCtx(ctx context.Context, dev *sim.Device, gridDim, bloc
 		ctxArmed:  ctx != nil && ctx.Done() != nil,
 		c:         c,
 		cfg:       &dev.Cfg,
-		mech:      dev.Mech,
-		global:    dev.Global,
 		shared:    mem.NewAddrSpace(),
 		noProg:    dev.Cfg.Watchdog.NoProgressCycles,
 		maxInstrs: dev.Cfg.MaxCycles,
@@ -138,7 +122,7 @@ func (c *Compiled) LaunchCtx(ctx context.Context, dev *sim.Device, gridDim, bloc
 			warpIdx:    wi,
 			launchMask: uint32(1)<<uint(lanes) - 1,
 			rf:         make([]uint64, rows*32),
-			locals:     make([]*mem.AddrSpace, lanes),
+			locals:     make(sim.Locals, lanes),
 		}
 		for k, v := range c.consts {
 			r := w.row(constRow(c.nregs, k))
@@ -189,11 +173,7 @@ func (e *engine) runBlock(ctaid int) {
 		}
 		w.Reset(w.launchMask)
 		clear(w.rf[:e.c.nregs*32])
-		for _, lm := range w.locals {
-			if lm != nil {
-				lm.Reset()
-			}
-		}
+		w.locals.Reset()
 		w.preds[isa.PT] = w.launchMask
 	}
 
@@ -354,7 +334,7 @@ func (e *engine) at(pc int, w *fwarp) sim.FaultRecord {
 // space returns global memory or the block's shared memory.
 func (e *engine) space(global bool) *mem.AddrSpace {
 	if global {
-		return e.global
+		return e.Dev.Global
 	}
 	return e.shared
 }

@@ -18,9 +18,9 @@ import (
 //  1. the EC site (sim.Exec.CheckAccess);
 //  2. observation: trace addresses and race-oracle shadowing
 //     (sim.Exec.Observe);
-//  3. the functional access: a loop picked here per space and role, or
-//     the unit-stride path for a 4-byte global or shared access whose
-//     lanes all passed (see unitSpan);
+//  3. the functional access: the lane kernel resolved here
+//     (sim.MemKernelOf), or the unit-stride path for a 4-byte global or
+//     shared access whose lanes all passed (see unitSpan);
 //  4. the transaction-line count of the timing estimate (sim.LineSet).
 func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 	op := in.Op
@@ -30,11 +30,10 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 	addr, data, dst := cc.reg(in.Src[0]), cc.reg(in.Src[1]), cc.dst(in)
 	off := isa.Sx32(in.Imm)
 	hintE := in.Hint.E
-	signExt := in.SignExtend() && size == 4
-	access := accessLoop(op, size, signExt)
+	global, access := space == isa.SpaceGlobal, sim.MemKernelOf(in)
 	var unit unitFn
 	if size == 4 && space != isa.SpaceLocal {
-		unit = unitLoop(op, signExt)
+		unit = unitLoop(op, in.SignExtend())
 	}
 	// Only shared memory is shadowed; whether the race oracle is armed
 	// is a per-launch runtime decision (closures are cached across
@@ -69,7 +68,7 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 
 		vr, dr := w.row(data), w.row(dst)
 		if e.Halted {
-			access(e, w, pass, &a.Addr, vr, dr)
+			access(e.space(global), w.locals, pass, &a.Addr, vr, dr)
 			return exec
 		}
 		var (
@@ -83,7 +82,7 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 			}
 		}
 		if !done {
-			access(e, w, pass, &a.Addr, vr, dr)
+			access(e.space(global), w.locals, pass, &a.Addr, vr, dr)
 			lines := &e.Lines
 			lines.Reset()
 			for m := pass; m != 0; m &= m - 1 {
@@ -96,62 +95,6 @@ func (cc *compiler) memClosure(in *isa.Instr, pc int, g guard) opFn {
 		}
 		w.vtime += lat + extra
 		return exec
-	}
-}
-
-// memAccessFn is phase 3 of a compiled memory instruction: the
-// functional access of every lane in lanes at its effective address,
-// loading into dr and storing from vr.
-type memAccessFn func(e *engine, w *fwarp, lanes uint32, addrs, vr, dr *[32]uint64)
-
-// accessLoop picks the access loop of a memory opcode. Global and
-// shared accesses share one page window (mem.PageWin) across the lanes.
-func accessLoop(op isa.Opcode, size uint64, signExt bool) memAccessFn {
-	space := op.MemSpace()
-	if space == isa.SpaceLocal {
-		if op.IsStore() {
-			return func(_ *engine, w *fwarp, lanes uint32, addrs, vr, _ *[32]uint64) {
-				for m := lanes; m != 0; m &= m - 1 {
-					lane := bits.TrailingZeros32(m)
-					w.local(lane).Write(addrs[lane], vr[lane], int(size))
-				}
-			}
-		}
-		return func(_ *engine, w *fwarp, lanes uint32, addrs, _, dr *[32]uint64) {
-			for m := lanes; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				dr[lane] = sim.LoadValue(w.local(lane).Read(addrs[lane], int(size)), signExt)
-			}
-		}
-	}
-	global := space == isa.SpaceGlobal
-	switch {
-	case op == isa.ATOMG || op == isa.ATOMS:
-		return func(e *engine, _ *fwarp, lanes uint32, addrs, vr, dr *[32]uint64) {
-			pw := mem.NewPageWin(e.space(global))
-			for m := lanes; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				old := pw.Load(addrs[lane], size)
-				pw.Store(addrs[lane], uint64(uint32(int32(old)+int32(vr[lane]))), size)
-				dr[lane] = old
-			}
-		}
-	case op.IsStore():
-		return func(e *engine, _ *fwarp, lanes uint32, addrs, vr, _ *[32]uint64) {
-			pw := mem.NewPageWin(e.space(global))
-			for m := lanes; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				pw.Store(addrs[lane], vr[lane], size)
-			}
-		}
-	default:
-		return func(e *engine, _ *fwarp, lanes uint32, addrs, _, dr *[32]uint64) {
-			pw := mem.NewPageWin(e.space(global))
-			for m := lanes; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				dr[lane] = sim.LoadValue(pw.Load(addrs[lane], size), signExt)
-			}
-		}
 	}
 }
 

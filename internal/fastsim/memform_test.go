@@ -1,10 +1,12 @@
 package fastsim_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"lmi/internal/compiler"
+	"lmi/internal/fastsim"
 	"lmi/internal/isa"
 	"lmi/internal/sim"
 	"lmi/internal/workloads"
@@ -235,13 +237,111 @@ func memCases() []memCase {
 	return out
 }
 
-// TestMemoryOperandForms pins the compiled tier's LSU against the cycle
-// tier, byte for byte: each case runs one memory instruction in a
-// 48-thread block (so the second warp is partial), and launchBoth
-// compares both tiers' final in and out bytes, which hold every
-// thread's destination, read-back and earlier load (and, for global
-// memory, the stored bytes themselves); diffFunctional compares the
-// statistics.
+// byteMem is the memory of memModel: a byte per address, zero where
+// nothing was written.
+type byteMem map[uint64]byte
+
+func (m byteMem) load(addr, size uint64) uint64 {
+	var v uint64
+	for i := uint64(0); i < size; i++ {
+		v |= uint64(m[addr+i]) << (8 * i)
+	}
+	return v
+}
+
+func (m byteMem) store(addr, v, size uint64) {
+	for i := uint64(0); i < size; i++ {
+		m[addr+i] = byte(v >> (8 * i))
+	}
+}
+
+// memModel computes the in and out bytes memKernel leaves for case c
+// when run by block threads, in the layout launchTier returns them,
+// from the kernel's definition alone: inBase is in's address. The
+// lanes' accesses never overlap (each lane owns its stride of 8 bytes,
+// or of 4 for the 4-byte unit-stride kinds), so the threads run in any
+// order.
+func memModel(c memCase, block int, inBase uint64) []byte {
+	space, kind := c.in.Op.MemSpace(), c.kind
+	global, shared := byteMem{}, byteMem{}
+	init := inBytes(memN * 4)
+	for i, b := range init {
+		global[inBase+uint64(i)] = b
+	}
+	var base uint64
+	switch {
+	case kind.unmapped() && space == isa.SpaceGlobal:
+		base = 0x20 << 32
+	case kind.unmapped():
+		base = 0x40000
+	case space == isa.SpaceGlobal:
+		base = (inBase + 4095) &^ 4095
+	case space == isa.SpaceLocal:
+		base = 0x10000
+	}
+	switch kind {
+	case memStraddle, memUnmappedStraddle:
+		base += 4096 - 1 - 8*8
+	case memUnitCross:
+		base += 4096 - 4*8
+	}
+	stride := uint64(8)
+	if kind.unit() {
+		stride = 4
+	}
+	size := c.in.AccSize()
+	out := make([]byte, len(init))
+	for tid := 0; tid < block; tid++ {
+		m := byteMem{} // the thread's local memory
+		switch space {
+		case isa.SpaceGlobal:
+			m = global
+		case isa.SpaceShared:
+			m = shared
+		}
+		addr := base + uint64(tid)*stride
+		// memKernel's R3 and the sentinel it seeds R8 with.
+		r3 := uint64(int64(int32(uint32(tid)*0x3b9aca07)))<<21 ^ uint64(tid)
+		dst := r3 ^ 0x5a5a5a5a
+		if !kind.unmapped() && space != isa.SpaceGlobal {
+			m.store(addr, r3^0x13579bdf, stride) // the seed
+		}
+		preload := m.load(addr, size)
+		if c.in.Pred == isa.PT || c.in.Pred == 0 && tid&3 < 2 {
+			v := m.load(addr, size)
+			switch c.in.Op {
+			case isa.ATOMG, isa.ATOMS:
+				// v, the old value, stays zero-extended whatever the
+				// sign-extension flag says.
+				m.store(addr, uint64(uint32(v)+uint32(r3)), size)
+			case isa.STG, isa.STS, isa.STL:
+				m.store(addr, r3, size)
+			default:
+				if c.in.SignExtend() && size == 4 {
+					v = uint64(int64(int32(uint32(v))))
+				}
+			}
+			if c.in.Dst == memDst { // a load's value or an atomic's old one
+				dst = v
+			}
+		}
+		for i, w := range []uint64{dst, m.load(addr, size), uint64(tid), preload} {
+			binary.LittleEndian.PutUint64(out[32*tid+8*i:], w)
+		}
+	}
+	img := make([]byte, 0, 2*len(init))
+	for i := range init {
+		img = append(img, global[inBase+uint64(i)])
+	}
+	return append(img, out...)
+}
+
+// TestMemoryOperandForms pins both tiers' LSUs against memModel, byte
+// for byte, and against each other: each case runs one memory
+// instruction in a 48-thread block (so the second warp is partial), and
+// the final in and out bytes hold every thread's destination, read-back
+// and earlier load (and, for global memory, the stored bytes
+// themselves); diffFunctional compares the statistics.
 func TestMemoryOperandForms(t *testing.T) {
 	const block = 48
 	for _, c := range memCases() {
@@ -249,10 +349,18 @@ func TestMemoryOperandForms(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		p := memKernel(c.name, c.in, c.kind)
-		cycle, fast := launchBoth(t, p, workloads.VariantBase, sim.ScaledConfig(1), 1, block, memN)
+		run := func(tier fastsim.Tier) (*sim.KernelStats, []byte, uint64) {
+			return launchTier(t, tier, p, workloads.VariantBase, sim.ScaledConfig(1), 1, block, memN)
+		}
+		cycle, cmem, inBase := run(fastsim.TierCycle)
+		fast, fmem, _ := run(fastsim.TierCompiled)
 		diffFunctional(t, c.name, cycle, fast)
 		if cycle.Halted || len(cycle.Faults) != 0 {
 			t.Fatalf("%s: unexpected halt/faults: %v", c.name, cycle.Faults)
 		}
+		want := memModel(c, block, inBase)
+		diffMem(t, c.name, "model", want, "cycle", cmem)
+		diffMem(t, c.name, "model", want, "compiled", fmem)
+		diffMem(t, c.name, "cycle", cmem, "compiled", fmem)
 	}
 }

@@ -13,8 +13,9 @@
 //
 // Both tiers run one warp semantics: the ALU kernels of internal/isa,
 // and sim.Exec's launch prelude and epilogue, SIMT stack, special
-// registers, EC site, heap intrinsics, TRAP and fault records. The
-// cycle-level simulator (internal/sim) remains the only timing model.
+// registers, OCU site, LDC, EC site, memory lane kernels, heap
+// intrinsics, TRAP and fault records. The cycle-level simulator
+// (internal/sim) remains the only timing model.
 // The compiled tier reproduces the *functional* projection of a launch
 // exactly — instruction and lane-instruction counts, per-opcode
 // memory-instruction counts, PointerChecks, ECChecked/ECElided, fault

@@ -53,7 +53,7 @@ func (b *Baggy) Canonical(val uint64) uint64 { return core.Pointer(val).Addr() }
 
 // CheckPointerOp implements sim.Mechanism: no hardware OCU — checks are
 // software instructions already present in the instruction stream.
-func (b *Baggy) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
+func (b *Baggy) CheckPointerOp(_, _ *[32]uint64, _ uint32) uint64 { return 0 }
 
 // CheckAccess implements sim.Mechanism: the LSU strips the extent bits
 // (the addressing path must ignore the tag) but performs no check.

@@ -126,7 +126,7 @@ func (g *GPUShield) Canonical(val uint64) uint64 { return val & shieldAddrMask }
 
 // CheckPointerOp implements sim.Mechanism: GPUShield does not verify
 // pointer arithmetic.
-func (g *GPUShield) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
+func (g *GPUShield) CheckPointerOp(_, _ *[32]uint64, _ uint32) uint64 { return 0 }
 
 // rcache returns the SM's bounds cache: ID-indexed, modelled as a
 // fully-associative cache whose "addresses" are buffer IDs.

@@ -95,7 +95,7 @@ func (m *IMT) Canonical(val uint64) uint64 { return val & imtAddrMask }
 
 // CheckPointerOp implements sim.Mechanism: memory tagging does not
 // verify arithmetic.
-func (m *IMT) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
+func (m *IMT) CheckPointerOp(_, _ *[32]uint64, _ uint32) uint64 { return 0 }
 
 // CheckAccess implements sim.Mechanism: compare each lane's pointer tag
 // against its sector's ECC tag. Untagged pointers (heap, local spill

@@ -135,19 +135,53 @@ func TestLMITagErrorsOnMisalignedBlock(t *testing.T) {
 	}
 }
 
+// checkPointerRow runs a mechanism's OCU hook on the exec lanes of a
+// row whose every lane holds pointer in and, outside lanes, a sentinel:
+// lane l of res holds out[l] for each l of out. It returns the result
+// row and the extra latency.
+func checkPointerRow(m sim.Mechanism, in uint64, exec uint32, out map[int]uint64) ([32]uint64, uint64) {
+	var ptr, res [32]uint64
+	for l := range res {
+		ptr[l], res[l] = in, 0x5e5e0000+uint64(l)
+	}
+	for l, v := range out {
+		res[l] = v
+	}
+	return res, m.CheckPointerOp(&ptr, &res, exec)
+}
+
 func TestLMICheckPointerOpDelaysAndClears(t *testing.T) {
 	m := NewLMI()
 	in, _ := m.Codec.Encode(0x40000, 1) // 256 B
-	res, lat := m.CheckPointerOp(uint64(in), uint64(in)+128)
+	// Lane 0 stays in bounds, lane 2 steps past the extent; lane 1 is
+	// outside the exec mask with an out-of-bounds value, which the OCU
+	// must neither check nor clear.
+	oob := uint64(in) + 4096
+	res, lat := checkPointerRow(m, uint64(in), 0b101, map[int]uint64{0: uint64(in) + 128, 1: oob, 2: oob})
 	if lat != OCULatencyCycles {
 		t.Errorf("latency %d", lat)
 	}
-	if !core.Pointer(res).Valid() {
-		t.Error("in-bounds op cleared extent")
+	if res[0] != uint64(in)+128 {
+		t.Errorf("in-bounds op changed its result: %#x", res[0])
 	}
-	res, _ = m.CheckPointerOp(uint64(in), uint64(in)+4096)
-	if core.Pointer(res).Valid() {
-		t.Error("out-of-bounds op kept extent")
+	if res[2] != uint64(core.Pointer(oob).Invalidate()) {
+		t.Errorf("out-of-bounds op: %#x, want its extent cleared", res[2])
+	}
+	if res[1] != oob {
+		t.Errorf("lane outside the exec mask changed: %#x", res[1])
+	}
+	for l := 3; l < 32; l++ {
+		if res[l] != 0x5e5e0000+uint64(l) {
+			t.Errorf("lane %d outside the exec mask changed: %#x", l, res[l])
+		}
+	}
+	if s := m.OCU.Stats; s.Checks != 2 || s.Overflows != 1 {
+		t.Errorf("OCU stats %+v, want 2 checks and 1 overflow", s)
+	}
+	// An empty exec mask checks nothing and adds no latency.
+	res, lat = checkPointerRow(m, uint64(in), 0, map[int]uint64{0: oob})
+	if lat != 0 || res[0] != oob || m.OCU.Stats.Checks != 2 {
+		t.Errorf("empty mask: latency %d, lane 0 %#x, %d checks", lat, res[0], m.OCU.Stats.Checks)
 	}
 }
 
@@ -293,8 +327,7 @@ func TestBaggyMechanism(t *testing.T) {
 	if fault != nil || extra != 0 || eff != b.Addr+100000 {
 		t.Errorf("baggy LSU must only strip: eff=%#x extra=%d fault=%v", eff, extra, fault)
 	}
-	res, lat := m.CheckPointerOp(val, val+100000)
-	if lat != 0 || res != val+100000 {
+	if res, lat := checkPointerRow(m, val, 1, map[int]uint64{0: val + 100000}); lat != 0 || res[0] != val+100000 {
 		t.Error("baggy has no OCU")
 	}
 	if m.UntagFree(val, isa.SpaceHeap) != b.Addr || m.Canonical(val) != b.Addr {
@@ -357,8 +390,7 @@ func TestIMTMechanism(t *testing.T) {
 	if m.UntagFree(123, isa.SpaceHeap) != 123 || heapVal != 5 {
 		t.Error("non-global allocs must stay untagged")
 	}
-	res, lat := m.CheckPointerOp(1, 2)
-	if res != 2 || lat != 0 {
+	if res, lat := checkPointerRow(m, 1, 1, map[int]uint64{0: 2}); res[0] != 2 || lat != 0 {
 		t.Error("IMT must not check arithmetic")
 	}
 }

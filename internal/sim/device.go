@@ -123,7 +123,7 @@ type warp struct {
 	// for a partial warp.
 	rf     []uint64
 	preds  [8]uint32 // predicate registers as lane masks; preds[PT] = launchMask
-	locals []*mem.AddrSpace
+	locals Locals
 
 	SIMT
 
@@ -193,12 +193,13 @@ type launch struct {
 	free []*blockCtx
 
 	// imm is each instruction's broadcast row of its immediate operand
-	// (see immRows) and alu its resolved ALU semantics, both indexed by
-	// pc; zero is the row RZ reads, and res the scratch result row of an
-	// ALU op that commits only some lanes (and the discard row of RZ
-	// loads).
+	// (see immRows), alu its resolved ALU semantics and mem its memory
+	// access kernel, all indexed by pc; zero is the row RZ reads, and res
+	// the scratch result row of an ALU op that commits only some lanes
+	// (and the discard row of RZ loads).
 	imm  []*[32]uint64
 	alu  []isa.ALU
+	mem  []MemKernel
 	zero [32]uint64
 	res  [32]uint64
 
@@ -252,8 +253,10 @@ func (d *Device) Launch2DCtx(ctx context.Context, p *isa.Program, gridX, gridY, 
 	ls.l2, ls.dram = l2, mem.NewDRAM(d.Cfg.DRAMLatency, d.Cfg.DRAMBandwidth)
 	ls.imm = immRows(p)
 	ls.alu = make([]isa.ALU, len(p.Instrs))
+	ls.mem = make([]MemKernel, len(p.Instrs))
 	for pc := range p.Instrs {
 		ls.alu[pc] = p.Instrs[pc].ALU()
+		ls.mem[pc] = MemKernelOf(&p.Instrs[pc])
 	}
 	for i := 0; i < d.Cfg.NumSMs; i++ {
 		l1, err := mem.NewCache("L1", d.Cfg.L1Size, d.Cfg.L1Assoc, d.Cfg.LineSize, d.Cfg.L1Latency)
@@ -353,7 +356,7 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 			blk.warps = append(blk.warps, &warp{
 				rf:       make([]uint64, nregs*32),
 				regReady: make([]uint64, nregs),
-				locals:   make([]*mem.AddrSpace, lanes),
+				locals:   make(Locals, lanes),
 			})
 		}
 	}
@@ -368,11 +371,7 @@ func (ls *launch) placeBlock(sm *smCtx, ctaid int) {
 		mask := uint32(1)<<uint(len(w.locals)) - 1 // one local space per lane
 		clear(w.rf)
 		clear(w.regReady)
-		for _, lm := range w.locals {
-			if lm != nil {
-				lm.Reset()
-			}
-		}
+		w.locals.Reset()
 		*w = warp{
 			globalID:   ctaid*len(blk.warps) + wi,
 			block:      blk,

@@ -119,11 +119,8 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 	case isa.LDG, isa.STG, isa.LDS, isa.STS, isa.LDL, isa.STL, isa.ATOMG, isa.ATOMS:
 		ls.memAccess(sm, w, in, exec, pc)
 	case isa.LDC:
-		a, d := ls.row(w, in.Src[0]), ls.result(w, in, exec)
-		for m := exec; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			d[l] = ls.CBank.Read(a[l]+isa.Sx32(in.Imm), int(in.AccSize()))
-		}
+		d := ls.result(w, in, exec)
+		ls.LoadConst(d, ls.row(w, in.Src[0]), exec, isa.Sx32(in.Imm), in.AccSize())
 		ls.writeback(w, in, exec, d, cfg.ConstLatency)
 	case isa.MALLOC, isa.FREE:
 		ls.heapOp(sm, w, in, exec, pc)
@@ -159,28 +156,17 @@ func (ls *launch) issue(sm *smCtx, w *warp) {
 
 // finishInt completes an integer ALU instruction (every OCU-eligible
 // opcode) whose 32 lanes are computed in res: it narrows them to 32
-// bits, sign-extended, unless the W64 flag is set; runs the mechanism's
-// pointer check on each exec lane in ascending order when the
-// Activation hint is set; and writes back with the integer latency plus
-// the largest extra latency the check reported.
+// bits, sign-extended, unless the W64 flag is set; runs the OCU site
+// (Exec.PointerOp) when the Activation hint is set; and writes back with
+// the integer latency plus the extra latency the check reported.
 func (ls *launch) finishInt(w *warp, in *isa.Instr, exec uint32, res *[32]uint64) {
-	if !in.W64() {
-		for l := range res {
-			res[l] = isa.Sx32(int32(res[l]))
-		}
-	}
-	extraMax := uint64(0)
+	extra := uint64(0)
 	if in.Hint.A {
-		ptr := ls.row(w, in.Src[in.Hint.PointerOperand()])
-		for m := exec; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			out, extra := ls.Dev.Mech.CheckPointerOp(ptr[l], res[l])
-			res[l] = out
-			extraMax = max(extraMax, extra)
-			ls.Stats.PointerChecks++
-		}
+		extra = ls.PointerOp(ls.row(w, in.Src[in.Hint.PointerOperand()]), res, exec, !in.W64())
+	} else if !in.W64() {
+		narrow32(res)
 	}
-	ls.writeback(w, in, exec, res, ls.Dev.Cfg.IntLatency+extraMax)
+	ls.writeback(w, in, exec, res, ls.Dev.Cfg.IntLatency+extra)
 }
 
 // writeback commits result row res to the destination register — the

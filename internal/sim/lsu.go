@@ -5,7 +5,6 @@ import (
 
 	"lmi/internal/alloc"
 	"lmi/internal/isa"
-	"lmi/internal/mem"
 )
 
 // localPhysBase is the physical base of the per-thread local-memory
@@ -25,73 +24,46 @@ func localPhys(warpGlobalID, lane int, va uint64) uint64 {
 
 // memAccess executes one warp-level memory instruction: the safety
 // check of every exec lane through the mechanism's per-warp hook (the
-// EC site, Exec.CheckAccess), then the functional access and coalescing
-// of the lanes that passed, then latency. Global and shared accesses go
-// through one page window (mem.PageWin) for the whole instruction.
+// EC site, Exec.CheckAccess), then the functional access of the lanes
+// that passed (the MemKernel resolved at launch), then their coalescing
+// and latency.
 func (ls *launch) memAccess(sm *smCtx, w *warp, in *isa.Instr, exec uint32, pc int) {
 	ls.progress()
 	cfg := &ls.Dev.Cfg
 	space := in.Op.MemSpace()
 	size := in.AccSize()
-	isStore := in.Op.IsStore()
-	isAtom := in.Op == isa.ATOMG || in.Op == isa.ATOMS
-	signExt := in.SignExtend() && size == 4
 	shift := ls.LineShift
 
 	acc := &ls.Acc
-	acc.SM, acc.Space, acc.Size, acc.Store, acc.Cycle = sm.id, space, size, isStore, ls.cycle
+	acc.SM, acc.Space, acc.Size, acc.Store, acc.Cycle = sm.id, space, size, in.Op.IsStore(), ls.cycle
 	pass, extra := ls.CheckAccess(exec, ls.row(w, in.Src[0]), isa.Sx32(in.Imm), in.Hint.E, pc, w.globalID)
 	var shadow *BlockShadow
 	if space == isa.SpaceShared {
 		shadow = w.block.race // nil with the oracle off
 	}
 	ls.Observe(pass, shadow, in.Op, pc, w.warpIdx)
-	var pw mem.PageWin
-	switch space {
-	case isa.SpaceGlobal:
-		pw = mem.NewPageWin(ls.Dev.Global)
-	case isa.SpaceShared:
-		pw = mem.NewPageWin(w.block.shared)
-	}
 
-	// Functional access; a load or atomic with an RZ destination writes
-	// the scratch row.
-	co := &ls.Lines
-	co.Reset()
-	vr, dr := ls.row(w, in.Src[1]), &ls.res
+	// A load or atomic with an RZ destination writes the scratch row.
+	as, dr := w.block.shared, &ls.res
+	if space == isa.SpaceGlobal {
+		as = ls.Dev.Global
+	}
 	if in.Dst != isa.RZ {
 		dr = ls.row(w, in.Dst)
 	}
-	for m := pass; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		eff := acc.Addr[lane]
-		phys := eff
-		switch {
-		case space == isa.SpaceLocal:
-			lm := w.locals[lane]
-			if lm == nil {
-				lm = mem.NewAddrSpace()
-				w.locals[lane] = lm
-			}
-			if isStore {
-				lm.Write(eff, vr[lane], int(size))
-			} else {
-				dr[lane] = LoadValue(lm.Read(eff, int(size)), signExt)
-			}
-			phys = localPhys(w.globalID, lane, eff)
-		case isAtom:
-			old := pw.Load(eff, size)
-			pw.Store(eff, uint64(uint32(int32(old)+int32(vr[lane]))), size)
-			dr[lane] = old
-		case isStore:
-			pw.Store(eff, vr[lane], size)
-		default:
-			dr[lane] = LoadValue(pw.Load(eff, size), signExt)
-		}
-		co.Add(phys, size, shift)
-	}
+	ls.mem[pc](as, w.locals, pass, &acc.Addr, ls.row(w, in.Src[1]), dr)
 	if ls.Halted {
 		return
+	}
+	co := &ls.Lines
+	co.Reset()
+	for m := pass; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		phys := acc.Addr[lane]
+		if space == isa.SpaceLocal {
+			phys = localPhys(w.globalID, lane, phys)
+		}
+		co.Add(phys, size, shift)
 	}
 
 	// Timing: serialize one transaction per cycle at the LSU; each

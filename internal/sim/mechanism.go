@@ -65,12 +65,15 @@ type Mechanism interface {
 	// effects (used by host-side memory copies).
 	Canonical(val uint64) uint64
 
-	// CheckPointerOp is the integer-ALU hook, invoked for instructions
-	// carrying the Activation hint. in is the pointer operand selected by
-	// the S hint, out the raw ALU result. It returns the value actually
-	// written back and any extra dependent latency (LMI's OCU register
-	// slices).
-	CheckPointerOp(in, out uint64) (res uint64, extraLatency uint64)
+	// CheckPointerOp is the integer-ALU hook, called once per warp
+	// instruction carrying the Activation hint. ptr is the row of the
+	// pointer operand the S hint selects and res the row of results the
+	// ALU computed (narrowed already for a 32-bit op). For each lane of
+	// exec, in ascending order, it overwrites res with the value actually
+	// written back, leaving every other lane untouched. It returns the
+	// largest extra dependent latency of the lanes it checked (LMI's OCU
+	// register slices), 0 for an empty exec.
+	CheckPointerOp(ptr, res *[32]uint64, exec uint32) (extraLatency uint64)
 
 	// CheckAccess is the LSU hook, called once per warp memory
 	// instruction with the exec lanes still to check. It checks them in
@@ -109,7 +112,7 @@ func (Baseline) UntagFree(val uint64, _ isa.Space) uint64 { return val }
 func (Baseline) Canonical(val uint64) uint64 { return val }
 
 // CheckPointerOp implements Mechanism.
-func (Baseline) CheckPointerOp(_, out uint64) (uint64, uint64) { return out, 0 }
+func (Baseline) CheckPointerOp(_, _ *[32]uint64, _ uint32) uint64 { return 0 }
 
 // CheckAccess implements Mechanism: every address is already effective.
 func (Baseline) CheckAccess(*WarpAccess, uint32) (uint64, int, *core.Fault) { return 0, -1, nil }

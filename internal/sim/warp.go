@@ -13,12 +13,14 @@ import (
 
 // This file defines the warp semantics both execution tiers share: the
 // launch prelude and epilogue, the SIMT reconvergence stack, the special
-// registers, the EC site, the heap intrinsics, TRAP, fault recording,
-// trace and race-shadow observation, and the set of cache lines a warp
-// memory instruction touches. The cycle tier (this package) adds GTO
-// scheduling, the scoreboard, caches, DRAM and latencies around it; the
-// compiled tier (internal/fastsim) adds closures, block-level dispatch
-// and virtual time.
+// registers, the OCU site, LDC, the EC site, the functional access of a
+// memory instruction (its lane kernels and the warp's local spaces), the
+// heap intrinsics, TRAP, fault recording, trace and race-shadow
+// observation, and the set of cache lines a warp memory instruction
+// touches. The cycle tier (this package) adds GTO scheduling, the
+// scoreboard, caches, DRAM and latencies around it; the compiled tier
+// (internal/fastsim) adds closures, block-level dispatch, the
+// unit-stride access path and virtual time.
 
 // Exec is the state of one kernel launch that does not depend on the
 // execution tier.
@@ -28,8 +30,8 @@ type Exec struct {
 	// Grid and Block are the total blocks and threads per block, GridX
 	// and BlockX their x extents.
 	Grid, Block, GridX, BlockX int
-	// CBank is the constant bank: the stack top and the parameters.
-	CBank *mem.AddrSpace
+	// cbank is the constant bank: the stack top and the parameters.
+	cbank *mem.AddrSpace
 	// LineShift is log2 of the cache line size.
 	LineShift uint
 	// Race is the launch's dynamic race oracle (nil when
@@ -78,7 +80,7 @@ func (x *Exec) Begin(d *Device, p *isa.Program, gridX, gridY, blockX, blockY int
 	*x = Exec{
 		Dev: d, Prog: p,
 		Grid: gridX * gridY, Block: blockX * blockY, GridX: gridX, BlockX: blockX,
-		CBank:     cbank,
+		cbank:     cbank,
 		LineShift: uint(bits.TrailingZeros64(d.Cfg.LineSize)),
 	}
 	if d.Cfg.RaceOracle {
@@ -257,6 +259,36 @@ func (x *Exec) Trap(code int32, exec uint32, at FaultRecord) {
 	x.recordFault(at)
 }
 
+// PointerOp is the OCU site of an A-hinted integer ALU instruction: it
+// narrows the 32 lanes of result row res to sign-extended 32-bit values
+// when narrow is set, then runs the mechanism's pointer check over the
+// exec lanes against pointer row ptr, counting one PointerCheck per
+// lane. It returns the largest extra latency the check reported.
+func (x *Exec) PointerOp(ptr, res *[32]uint64, exec uint32, narrow bool) uint64 {
+	if narrow {
+		narrow32(res)
+	}
+	x.Stats.PointerChecks += uint64(bits.OnesCount32(exec))
+	return x.Dev.Mech.CheckPointerOp(ptr, res, exec)
+}
+
+// narrow32 sign-extends the low 32 bits of every lane of row r.
+func narrow32(r *[32]uint64) {
+	for l := range r {
+		r[l] = isa.Sx32(int32(r[l]))
+	}
+}
+
+// LoadConst executes LDC: each exec lane of d gets the size-byte word of
+// the constant bank at a[lane] + off.
+func (x *Exec) LoadConst(d, a *[32]uint64, exec uint32, off, size uint64) {
+	cw := mem.NewPageWin(x.cbank)
+	for m := exec; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = cw.Load(a[l]+off, size)
+	}
+}
+
 // CheckAccess is the EC site of the warp memory instruction at pc issued
 // by warp warpID: it loads the exec lanes' addresses (ar + off) into
 // x.Acc.Addr and runs the extent check, the caller having set x.Acc's
@@ -365,6 +397,87 @@ func LoadValue(v uint64, signExt bool) uint64 {
 		return isa.Sx32(int32(uint32(v)))
 	}
 	return v
+}
+
+// Locals is a warp's per-lane local memory. A lane's space is created on
+// its first local access and reset, not dropped, for every block.
+type Locals []*mem.AddrSpace
+
+// lane returns lane l's space, creating it on first use.
+func (loc Locals) lane(l int) *mem.AddrSpace {
+	if loc[l] == nil {
+		loc[l] = mem.NewAddrSpace()
+	}
+	return loc[l]
+}
+
+// Reset empties every lane's space, keeping its page frames.
+func (loc Locals) Reset() {
+	for _, s := range loc {
+		if s != nil {
+			s.Reset()
+		}
+	}
+}
+
+// MemKernel is the functional access of a warp memory instruction: each
+// lane of lanes, in ascending order, accesses addrs[lane], in as for
+// global and shared memory (through one mem.PageWin) or in its own space
+// of loc for local memory, loading into dr or storing from vr.
+type MemKernel func(as *mem.AddrSpace, loc Locals, lanes uint32, addrs, vr, dr *[32]uint64)
+
+// MemKernelOf resolves the MemKernel of a memory instruction from its
+// opcode (its space and its role: load, store, or atomic add returning
+// the old value), its access size and, for a 4-byte load, its
+// sign-extension flag; it is nil for every opcode but LDG, STG, LDS,
+// STS, LDL, STL, ATOMG and ATOMS. Each tier resolves it once per pc, as
+// it does isa.Instr.ALU.
+func MemKernelOf(in *isa.Instr) MemKernel {
+	size := in.AccSize()
+	signExt := in.SignExtend() && size == 4
+	switch in.Op {
+	case isa.STL:
+		return func(_ *mem.AddrSpace, loc Locals, lanes uint32, addrs, vr, _ *[32]uint64) {
+			for m := lanes; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				loc.lane(l).Write(addrs[l], vr[l], int(size))
+			}
+		}
+	case isa.LDL:
+		return func(_ *mem.AddrSpace, loc Locals, lanes uint32, addrs, _, dr *[32]uint64) {
+			for m := lanes; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dr[l] = LoadValue(loc.lane(l).Read(addrs[l], int(size)), signExt)
+			}
+		}
+	case isa.ATOMG, isa.ATOMS:
+		return func(as *mem.AddrSpace, _ Locals, lanes uint32, addrs, vr, dr *[32]uint64) {
+			pw := mem.NewPageWin(as)
+			for m := lanes; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				old := pw.Load(addrs[l], size)
+				pw.Store(addrs[l], uint64(uint32(int32(old)+int32(vr[l]))), size)
+				dr[l] = old
+			}
+		}
+	case isa.STG, isa.STS:
+		return func(as *mem.AddrSpace, _ Locals, lanes uint32, addrs, vr, _ *[32]uint64) {
+			pw := mem.NewPageWin(as)
+			for m := lanes; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				pw.Store(addrs[l], vr[l], size)
+			}
+		}
+	case isa.LDG, isa.LDS:
+		return func(as *mem.AddrSpace, _ Locals, lanes uint32, addrs, _, dr *[32]uint64) {
+			pw := mem.NewPageWin(as)
+			for m := lanes; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dr[l] = LoadValue(pw.Load(addrs[l], size), signExt)
+			}
+		}
+	}
+	return nil
 }
 
 // LineSet collects the distinct cache lines one warp memory instruction

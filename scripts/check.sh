@@ -146,15 +146,18 @@ cmp "$tmpdir/peval-j1.json" BENCH_fig12_peval.json
 # differential gate inside `go test`: internal/fastsim and
 # internal/chaos TestTierDifferential*. Both tiers run the same ALU
 # kernels from internal/isa/alu.go and the same warp semantics from
-# internal/sim/warp.go (launch prelude, SIMT stack, S2R, EC site, heap
-# intrinsics), so that gate covers operand routing, commit, scheduling,
-# dispatch and memory access. What the shared code does is checked
-# against references it does not produce: ALU results against the IR
-# interpreter (internal/sim TestDifferentialFuzz, which also covers the
-# SIMT stack) and hand-written values (internal/isa TestALUEdgeValues),
-# the EC protocol against internal/fastsim TestWarpFaultOrder's
-# hand-written records, S2R by the internal/apps 2-D kernels, and the
-# mechanism hooks by sectest and the chaos campaign.)
+# internal/sim/warp.go (launch prelude, SIMT stack, S2R, OCU site, LDC,
+# EC site, memory lane kernels, heap intrinsics), so that gate covers
+# operand routing, commit, scheduling, dispatch and the unit-stride
+# path. What the shared code does is checked against references it does
+# not produce: ALU results against the IR interpreter (internal/sim
+# TestDifferentialFuzz, which also covers the SIMT stack) and
+# hand-written values (internal/isa TestALUEdgeValues), the EC protocol
+# against internal/fastsim TestWarpFaultOrder's hand-written records,
+# the OCU site against internal/fastsim TestOCUSite's hand-written
+# values, the memory lane kernels against internal/fastsim
+# TestMemoryOperandForms's byte model, S2R by the internal/apps 2-D
+# kernels, and the mechanism hooks by sectest and the chaos campaign.)
 echo "== compiled-tier determinism smoke (-jobs 1 vs -jobs 4)"
 go run ./cmd/lmi-bench -all -tier compiled -jobs 1 > "$tmpdir/bench-compiled-j1.txt"
 go run ./cmd/lmi-bench -all -tier compiled -jobs 4 > "$tmpdir/bench-compiled-j4.txt"

@@ -4,10 +4,13 @@
 // package-level identifier and exported method declared in the root
 // module that no non-test code references. References count from
 // anywhere under the root, nested consumer modules (perfbench)
-// included. A method whose name some interface declares is taken as
-// used: it may be called through that interface. So is a constant of a
-// named type: it is one member of an enumeration, whose zero member in
-// particular is usually only ever used implicitly.
+// included. A method whose name an interface declared in a scanned
+// package names is taken as used: it may be called through that
+// interface. Standard-library interfaces count only through the
+// interfaceMethods list, so one call on an os.FileInfo does not mark
+// every Mode or Size method in the repository used. A constant of a
+// named type is taken as used too: it is one member of an enumeration,
+// whose zero member in particular is usually only ever used implicitly.
 //
 // An export whose only callers are tests belongs in the allowlist
 // below, with the test that needs it; anything else is deleted, not
@@ -244,7 +247,9 @@ func (c *checker) Import(path string) (*types.Package, error) {
 	for _, tv := range info.Types {
 		if it, ok := tv.Type.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				c.iface[it.Method(i).Name()] = true
+				if m := it.Method(i); m.Pkg() != nil && c.src[m.Pkg().Path()] != nil {
+					c.iface[m.Name()] = true
+				}
 			}
 		}
 	}

@@ -112,6 +112,26 @@ func Make() T { return T{} }
 	want(t, got, "a.T.Other")
 }
 
+// TestLibraryInterfaceMethodsDoNotCount: a call through a
+// standard-library interface (os.FileInfo) marks no repository method of
+// the same name used; only the interfaceMethods names stand for the
+// library's interfaces.
+func TestLibraryInterfaceMethodsDoNotCount(t *testing.T) {
+	got := findings(t, map[string]string{
+		"go.mod": gomod,
+		"a/a.go": `package a
+import "os"
+type T struct{}
+func (T) Mode() int { return 0 }
+func (T) String() string { return "t" }
+func Regular(fi os.FileInfo) bool { return fi.Mode().IsRegular() }
+func Make() T { return T{} }
+`,
+		"b/b.go": "package b\nimport \"m/a\"\nvar _ = a.Regular\nvar _ = a.Make\n",
+	}, nil)
+	want(t, got, "a.T.Mode")
+}
+
 func TestEnumMembersExempt(t *testing.T) {
 	got := findings(t, map[string]string{
 		"go.mod": gomod,
