@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // OCU models the hardware Overflow Checking Unit attached to each integer
 // ALU lane (paper §VII, Fig. 10). The OCU watches pointer-arithmetic
 // instructions — identified by the Activation hint bit in the instruction
@@ -70,6 +72,39 @@ func (o *OCU) Check(in, out Pointer) (result Pointer, overflow bool) {
 	}
 	o.Stats.Overflows++
 	return out.Invalidate(), true
+}
+
+// CheckRow runs Check on each lane of exec, in ascending order, for one
+// hinted warp instruction: in holds each lane's source operand and out
+// its raw result, overwritten with the value the ALU writes back. Lanes
+// outside exec are untouched. A full warp stepping through one buffer —
+// every pointer carrying the same valid extent, and the lanes' changed
+// bits, ORed together, all inside that extent's mask — is judged with
+// one mask for the 32 lanes; its outcome and statistics are those of
+// the 32 checks.
+func (o *OCU) CheckRow(in, out *[32]uint64, exec uint32) {
+	if exec == 1<<32-1 && o.rowInBounds(in, out) {
+		o.Stats.Checks += 32
+		return
+	}
+	for ; exec != 0; exec &= exec - 1 {
+		l := bits.TrailingZeros32(exec)
+		res, _ := o.Check(Pointer(in[l]), Pointer(out[l]))
+		out[l] = uint64(res)
+	}
+}
+
+// rowInBounds reports whether all 32 lanes' pointers share one valid
+// extent and no lane changed a bit above its modifiable mask.
+func (o *OCU) rowInBounds(in, out *[32]uint64) bool {
+	changed, some, every := uint64(0), uint64(0), ^uint64(0)
+	for l := range in {
+		changed |= in[l] ^ out[l]
+		some |= in[l]
+		every &= in[l]
+	}
+	e := Pointer(some).Extent()
+	return e != ExtentInvalid && e == Pointer(every).Extent() && changed&^o.Codec.ModifiableMask(e) == 0
 }
 
 // CheckMove runs the OCU for a register move of a pointer (e.g. IMOV with

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +144,123 @@ func TestPropertyOCUDeadStaysDead(t *testing.T) {
 		return !res.Valid() && !res2.Valid() && !res3.Valid()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// laneChecks is CheckRow's definition: Check on each lane of exec, in
+// ascending order.
+func laneChecks(o *OCU, in, out *[32]uint64, exec uint32) {
+	for l := range in {
+		if exec&(1<<l) != 0 {
+			res, _ := o.Check(Pointer(in[l]), Pointer(out[l]))
+			out[l] = uint64(res)
+		}
+	}
+}
+
+// checkRowMatches runs CheckRow and laneChecks on copies of out and
+// reports the first difference in the rows or the statistics.
+func checkRowMatches(in, out [32]uint64, exec uint32) string {
+	row, lanes := NewOCU(), NewOCU()
+	got, want := out, out
+	row.CheckRow(&in, &got, exec)
+	laneChecks(lanes, &in, &want, exec)
+	for l := range got {
+		if got[l] != want[l] {
+			return fmt.Sprintf("lane %d: %#x, lane by lane %#x", l, got[l], want[l])
+		}
+	}
+	if row.Stats != lanes.Stats {
+		return fmt.Sprintf("stats %+v, lane by lane %+v", row.Stats, lanes.Stats)
+	}
+	return ""
+}
+
+// CheckRow's one-buffer path must not pass a row the lane checks
+// would clear: mixed extents, a dead pointer, an all-dead row, one
+// stray lane, and a partial mask over an overflowing lane.
+func TestOCUCheckRowMatchesLaneChecks(t *testing.T) {
+	c := DefaultCodec
+	big, _ := c.Encode(0x100000, 12)  // 512 KiB
+	small, _ := c.Encode(0x200000, 1) // 256 B
+	oneBuffer := func(step uint64) (in, out [32]uint64) {
+		for l := range in {
+			in[l] = uint64(big) + uint64(l)*64
+			out[l] = in[l] + step
+		}
+		return
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(in, out *[32]uint64)
+		exec uint32
+	}{
+		{"in bounds", func(*[32]uint64, *[32]uint64) {}, ^uint32(0)},
+		{"one lane past the end", func(in, out *[32]uint64) { out[17] = in[17] + 1<<19 }, ^uint32(0)},
+		{"small buffer lane", func(in, out *[32]uint64) { in[31], out[31] = uint64(small), uint64(small)+0x100 }, ^uint32(0)},
+		{"dead lane", func(in, out *[32]uint64) { in[3] = uint64(big.Invalidate()); out[3] = in[3] + 8 }, ^uint32(0)},
+		{"all dead", func(in, out *[32]uint64) {
+			for l := range in {
+				in[l] = uint64(Pointer(in[l]).Invalidate())
+				out[l] = in[l]
+			}
+		}, ^uint32(0)},
+		{"partial mask", func(in, out *[32]uint64) { out[5] = in[5] - 1<<20 }, 0xfffffff0},
+		{"empty mask", func(in, out *[32]uint64) { out[5] = in[5] - 1<<20 }, 0},
+	} {
+		in, out := oneBuffer(8)
+		tc.edit(&in, &out)
+		if msg := checkRowMatches(in, out, tc.exec); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+	}
+}
+
+// Property: CheckRow equals the lane checks on rows of one buffer and
+// rows mixing buffers, extents and dead pointers, under full and
+// random masks. A lane steps a buffer's size past either end once in
+// 64, so most full one-buffer rows take the one-mask path.
+func TestPropertyOCUCheckRowMatchesLaneChecks(t *testing.T) {
+	c := DefaultCodec
+	f := func(seed int64, mixed, full bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var ptrs [3]Pointer
+		for i := range ptrs {
+			e := Extent(1 + rng.Intn(12))
+			size := c.SizeForExtent(e)
+			ptrs[i], _ = c.Encode((rng.Uint64()&(AddrMask>>1))&^(size-1), e)
+			if mixed && rng.Intn(4) == 0 {
+				ptrs[i] = ptrs[i].Invalidate()
+			}
+		}
+		var in, out [32]uint64
+		for l := range in {
+			p := ptrs[0]
+			if mixed {
+				p = ptrs[rng.Intn(len(ptrs))]
+			}
+			size := c.SizeForExtent(p.Extent()) | 256
+			in[l] = uint64(p) + rng.Uint64()%size
+			out[l] = uint64(p) + rng.Uint64()%size
+			switch rng.Intn(128) {
+			case 0:
+				out[l] += size
+			case 1:
+				out[l] -= size
+			}
+		}
+		exec := ^uint32(0)
+		if !full {
+			exec = rng.Uint32()
+		}
+		if msg := checkRowMatches(in, out, exec); msg != "" {
+			t.Log(msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
 	}
 }
