@@ -68,6 +68,25 @@ func BenchmarkReleaseVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkBundleDecode is the codec layer's profile entry point: it
+// decodes the 28-entry elide + specialize bundle, built, sealed and
+// encoded once before the timer starts.
+func BenchmarkBundleDecode(b *testing.B) {
+	built, err := specBundleOnce()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encoded := encodeBytes(b, built)
+	b.SetBytes(int64(len(encoded)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Decode(bytes.NewReader(encoded)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // releaseSpecs is every workload with elision and specialization.
 func releaseSpecs() []BuildSpec {
 	var specs []BuildSpec

@@ -15,6 +15,14 @@
 // produces byte-identical bundle files and the check gate can compare
 // them with cmp.
 //
+// Only the canonical bytes are accepted. The codec (codec.go) writes
+// what encoding/json's Marshal writes for these types, and Decode
+// refuses, as ReasonMalformed, any file that is not exactly the
+// encoding of the bundle it decodes to: added whitespace, reordered,
+// unknown or repeated keys, non-canonical numbers or string escapes. A
+// file whose bytes differ from the signed bytes does not verify even
+// when its values are the signed ones.
+//
 // Digest tree:
 //
 //	code digest   = sha256 over the entry with certificates and Digest cleared
@@ -36,13 +44,11 @@
 package bundle
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"lmi/internal/bounds"
 	"lmi/internal/compiler"
@@ -175,64 +181,35 @@ type Bundle struct {
 	Signature string `json:"signature"`
 }
 
-// sha256hex is the one digest primitive every level uses.
-func sha256hex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // CodeDigest computes the digest the certificates bind to: the entry
 // with its certificate attestations and Digest cleared — the code,
 // metadata, source map, contract, and (when present) the
 // specialization payload, exactly what the static passes consumed.
 func CodeDigest(e *Entry) (string, error) {
-	c := *e
-	c.Lint, c.Audit, c.Race, c.Spec = nil, nil, nil, nil
-	c.Digest = ""
-	raw, err := json.Marshal(&c)
-	if err != nil {
-		return "", fmt.Errorf("bundle: code digest of %s: %w", e.Key(), err)
-	}
-	return sha256hex(raw), nil
-}
-
-// EntryDigest computes the entry digest: the entry with only the
-// Digest field cleared, certificates included.
-func EntryDigest(e *Entry) (string, error) {
-	c := *e
-	c.Digest = ""
-	raw, err := json.Marshal(&c)
-	if err != nil {
-		return "", fmt.Errorf("bundle: entry digest of %s: %w", e.Key(), err)
-	}
-	return sha256hex(raw), nil
-}
-
-// bundleDigest computes the bundle digest over the version, signer,
-// and the sorted entry digest list. Entry content is covered
-// transitively through the entry digests.
-func bundleDigest(version int, publicKey string, entryDigests []string) (string, error) {
-	raw, err := json.Marshal(struct {
-		Version   int      `json:"version"`
-		PublicKey string   `json:"public_key"`
-		Entries   []string `json:"entries"`
-	}{version, publicKey, entryDigests})
-	if err != nil {
-		return "", fmt.Errorf("bundle: bundle digest: %w", err)
-	}
-	return sha256hex(raw), nil
+	_, cd, err := (&codec{}).digests(e)
+	return cd, err
 }
 
 // EncodeWords renders a program's instruction stream as canonical
-// microcode word hex (hi word then lo word, 32 characters).
+// microcode word hex (hi word then lo word, 32 characters). The words
+// are cut from one string.
 func EncodeWords(p *isa.Program) ([]string, error) {
 	words, err := isa.EncodeProgram(p)
 	if err != nil {
 		return nil, err
 	}
+	buf := make([]byte, 0, 32*len(words))
+	for _, w := range words {
+		for _, half := range [2]uint64{w.Hi, w.Lo} {
+			for shift := 60; shift >= 0; shift -= 4 {
+				buf = append(buf, hexDigits[half>>shift&0xf])
+			}
+		}
+	}
+	all := string(buf)
 	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = fmt.Sprintf("%016x%016x", w.Hi, w.Lo)
+	for i := range out {
+		out[i] = all[32*i : 32*i+32]
 	}
 	return out, nil
 }
@@ -255,30 +232,30 @@ func (e *Entry) DecodeSpecProgram() (*isa.Program, error) {
 }
 
 // decodeWords rebuilds a program from microcode word hex under the
-// entry's metadata and validates it.
+// entry's metadata and validates it. The program's name is a copy, so
+// a kept program does not pin the decoded bundle's input.
 func (e *Entry) decodeWords(code []string) (*isa.Program, error) {
 	words := make([]isa.Word, len(code))
 	for i, s := range code {
 		if len(s) != 32 {
 			return nil, fmt.Errorf("bundle: %s: word %d: %d hex chars, want 32", e.Key(), i, len(s))
 		}
-		raw, err := hex.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("bundle: %s: word %d: %w", e.Key(), i, err)
+		var half [2]uint64
+		for j := 0; j < 32; j++ {
+			d, ok := hexNibble(s[j])
+			if !ok {
+				return nil, fmt.Errorf("bundle: %s: word %d: %w", e.Key(), i, hex.InvalidByteError(s[j]))
+			}
+			half[j/16] = half[j/16]<<4 | d
 		}
-		var hi, lo uint64
-		for b := 0; b < 8; b++ {
-			hi = hi<<8 | uint64(raw[b])
-			lo = lo<<8 | uint64(raw[8+b])
-		}
-		words[i] = isa.Word{Lo: lo, Hi: hi}
+		words[i] = isa.Word{Hi: half[0], Lo: half[1]}
 	}
 	instrs, err := isa.DecodeProgram(words)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: %s: %w", e.Key(), err)
 	}
 	p := &isa.Program{
-		Name:          e.Name,
+		Name:          strings.Clone(e.Name),
 		Instrs:        instrs,
 		FrameSize:     e.Meta.FrameSize,
 		SharedSize:    e.Meta.SharedSize,
@@ -295,6 +272,19 @@ func (e *Entry) decodeWords(code []string) (*isa.Program, error) {
 	return p, nil
 }
 
+// hexNibble decodes one hex digit of either case, as encoding/hex does.
+func hexNibble(c byte) (uint64, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return uint64(c - '0'), true
+	case 'a' <= c && c <= 'f':
+		return uint64(c - 'a' + 10), true
+	case 'A' <= c && c <= 'F':
+		return uint64(c - 'A' + 10), true
+	}
+	return 0, false
+}
+
 // entryLess is the canonical entry order.
 func entryLess(a, b *Entry) bool {
 	if a.Name != b.Name {
@@ -303,110 +293,58 @@ func entryLess(a, b *Entry) bool {
 	return a.Mechanism < b.Mechanism
 }
 
-// Clone deep-copies the bundle (tamper helpers mutate the copy).
+// Clone deep-copies the bundle through the codec, Decode(Encode(b)),
+// so tamper helpers can mutate the copy. It returns nil for a bundle
+// holding a string that is not valid UTF-8, which no canonical
+// encoding carries.
 func (b *Bundle) Clone() *Bundle {
-	c := *b
-	c.Entries = make([]Entry, len(b.Entries))
-	for i := range b.Entries {
-		e := b.Entries[i]
-		e.Code = append([]string(nil), e.Code...)
-		e.SourceMap = append([]compiler.SourceLoc(nil), e.SourceMap...)
-		e.Meta.ParamPtrs = append([]bool(nil), e.Meta.ParamPtrs...)
-		e.Meta.StackBuffers = append([]isa.StackBuffer(nil), e.Meta.StackBuffers...)
-		e.SpecCode = append([]string(nil), e.SpecCode...)
-		if e.SpecContract != nil {
-			sc := *e.SpecContract
-			e.SpecContract = &sc
-		}
-		if e.SpecCertificate != nil {
-			cert := *e.SpecCertificate
-			cert.Transforms = append([]peval.Transform(nil), cert.Transforms...)
-			for i := range cert.Transforms {
-				t := &cert.Transforms[i]
-				t.Drops = append([]peval.Drop(nil), t.Drops...)
-				if t.Unroll != nil {
-					u := *t.Unroll
-					t.Unroll = &u
-				}
-			}
-			cert.Provenance = append([]int(nil), cert.Provenance...)
-			e.SpecCertificate = &cert
-		}
-		if e.Lint != nil {
-			l := *e.Lint
-			e.Lint = &l
-		}
-		if e.Audit != nil {
-			a := *e.Audit
-			e.Audit = &a
-		}
-		if e.Race != nil {
-			r := *e.Race
-			e.Race = &r
-		}
-		if e.Spec != nil {
-			s := *e.Spec
-			e.Spec = &s
-		}
-		c.Entries[i] = e
+	var c *Bundle
+	err := withEncoding(b, func(raw []byte) (err error) {
+		c, err = decode(string(raw))
+		return err
+	})
+	if err != nil {
+		return nil
 	}
-	return &c
+	return c
 }
 
 // Encode writes the canonical compact JSON form (one line plus a
 // trailing newline). Struct field order is fixed and entries are
 // sorted, so the bytes are a pure function of the content and key.
 func (b *Bundle) Encode(w io.Writer) error {
-	raw, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("bundle: encode: %w", err)
-	}
-	raw = append(raw, '\n')
-	_, err = w.Write(raw)
-	return err
+	return withEncoding(b, func(raw []byte) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
 // WriteFile encodes the bundle to path.
 func (b *Bundle) WriteFile(path string) error {
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	return withEncoding(b, func(raw []byte) error { return os.WriteFile(path, raw, 0o644) })
 }
 
-// Decode reads a bundle from r. Decode errors are typed Malformed
-// rejections: an unparseable bundle is an artifact to refuse, not an
-// I/O detail. A reader that reports its unread length (bytes.Reader,
-// strings.Reader, bytes.Buffer) is read into one buffer of that size.
+// Decode reads a canonical bundle from r. Decode errors are typed
+// Malformed rejections: an unparseable or non-canonical bundle is an
+// artifact to refuse, not an I/O detail. A reader that reports its
+// unread length (bytes.Reader, strings.Reader, bytes.Buffer) is read
+// into one string of that size.
 func Decode(r io.Reader) (*Bundle, error) {
-	var buf bytes.Buffer
+	var sb strings.Builder
 	if l, ok := r.(interface{ Len() int }); ok {
-		// ReadFrom grows the buffer unless bytes.MinRead bytes are free,
-		// so the read that meets EOF needs that much room past the data.
-		buf.Grow(l.Len() + bytes.MinRead)
+		sb.Grow(l.Len())
 	}
-	if _, err := buf.ReadFrom(r); err != nil {
+	if _, err := io.Copy(&sb, r); err != nil {
 		return nil, fmt.Errorf("bundle: read: %w", err)
 	}
-	return unmarshal(buf.Bytes())
+	return decode(sb.String())
 }
 
-// ReadFile decodes the bundle at path, read into one buffer of the
-// size the file reports.
+// ReadFile decodes the canonical bundle at path.
 func ReadFile(path string) (*Bundle, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: %w", err)
 	}
-	return unmarshal(raw)
-}
-
-// unmarshal decodes the whole of raw, so trailing data is refused too.
-func unmarshal(raw []byte) (*Bundle, error) {
-	var b Bundle
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, &RejectError{Reason: ReasonMalformed, Detail: err.Error()}
-	}
-	return &b, nil
+	return decode(string(raw))
 }

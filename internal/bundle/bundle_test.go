@@ -51,7 +51,7 @@ func sealedBundle(t *testing.T) *Bundle {
 
 func trusted() ed25519.PublicKey { return testKey.Public().(ed25519.PublicKey) }
 
-func encodeBytes(t *testing.T, b *Bundle) []byte {
+func encodeBytes(t testing.TB, b *Bundle) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := b.Encode(&buf); err != nil {

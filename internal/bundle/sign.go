@@ -87,8 +87,9 @@ func (b *Bundle) Seal(priv ed25519.PrivateKey) error {
 	b.Version = Version
 	sort.Slice(b.Entries, func(i, j int) bool { return entryLess(&b.Entries[i], &b.Entries[j]) })
 	digests := make([]string, len(b.Entries))
+	c := &codec{}
 	for i := range b.Entries {
-		d, err := EntryDigest(&b.Entries[i])
+		d, _, err := c.digests(&b.Entries[i])
 		if err != nil {
 			return err
 		}
@@ -96,10 +97,7 @@ func (b *Bundle) Seal(priv ed25519.PrivateKey) error {
 		digests[i] = d
 	}
 	b.PublicKey = PublicHex(priv)
-	bd, err := bundleDigest(b.Version, b.PublicKey, digests)
-	if err != nil {
-		return err
-	}
+	bd := bundleDigest(b.Version, b.PublicKey, digests)
 	b.Digest = bd
 	b.Signature = hex.EncodeToString(ed25519.Sign(priv, []byte(bd)))
 	return nil

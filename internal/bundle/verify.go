@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 
 	"lmi/internal/bounds"
 	"lmi/internal/compiler"
@@ -163,18 +164,16 @@ func Verify(b *Bundle, trusted ed25519.PublicKey) (*Verified, error) {
 			b.PublicKey, hex.EncodeToString(trusted))
 	}
 
+	// Both digests of every entry come from one encoding of it.
 	digests := make([]string, len(b.Entries))
+	codeDigests := make([]string, len(b.Entries))
+	c := &codec{}
 	for i := range b.Entries {
-		d, err := EntryDigest(&b.Entries[i])
-		if err != nil {
+		if digests[i], codeDigests[i], err = c.digests(&b.Entries[i]); err != nil {
 			return nil, Reject(ReasonMalformed, "%v", err)
 		}
-		digests[i] = d
 	}
-	bd, err := bundleDigest(b.Version, b.PublicKey, digests)
-	if err != nil {
-		return nil, Reject(ReasonMalformed, "%v", err)
-	}
+	bd := bundleDigest(b.Version, b.PublicKey, digests)
 	if b.Digest != bd {
 		return nil, Reject(ReasonDigestMismatch, "bundle digest %s, recomputed %s", b.Digest, bd)
 	}
@@ -189,7 +188,7 @@ func Verify(b *Bundle, trusted ed25519.PublicKey) (*Verified, error) {
 	v := &Verified{digest: bd, byKey: make(map[string]*VerifiedEntry, len(b.Entries))}
 	for i := range b.Entries {
 		e := &b.Entries[i]
-		ve, err := verifyEntry(e, digests[i])
+		ve, err := verifyEntry(e, digests[i], codeDigests[i])
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +205,7 @@ func Verify(b *Bundle, trusted ed25519.PublicKey) (*Verified, error) {
 // static passes re-run against them (lint, elide audit and race; the
 // specialize audit is the fourth, for an entry with a specialization
 // record).
-func verifyEntry(e *Entry, recomputed string) (*VerifiedEntry, error) {
+func verifyEntry(e *Entry, recomputed, cd string) (*VerifiedEntry, error) {
 	reject := func(reason RejectReason, format string, args ...any) error {
 		return &RejectError{Reason: reason, Entry: e.Key(), Detail: fmt.Sprintf(format, args...)}
 	}
@@ -245,10 +244,6 @@ func verifyEntry(e *Entry, recomputed string) (*VerifiedEntry, error) {
 		return nil, reject(ReasonCertMissing,
 			"partial specialization record (code=%v contract=%v certificate=%v attestation=%v)",
 			hasSpec, e.SpecContract != nil, e.SpecCertificate != nil, e.Spec != nil)
-	}
-	cd, err := CodeDigest(e)
-	if err != nil {
-		return nil, reject(ReasonMalformed, "%v", err)
 	}
 	for _, bind := range []struct {
 		pass string
@@ -293,8 +288,11 @@ func verifyEntry(e *Entry, recomputed string) (*VerifiedEntry, error) {
 			rr.SharedAccesses, rr.PairsTested, rr.Phases)
 	}
 
+	// The kept strings are copies, so a served entry does not pin the
+	// decoded bundle's input, from which the decoder cut them.
 	ve := &VerifiedEntry{
-		Name: e.Name, Mechanism: e.Mechanism, Digest: e.Digest, Elided: e.Elided, Prog: prog,
+		Name: prog.Name, Mechanism: strings.Clone(e.Mechanism), Digest: strings.Clone(e.Digest),
+		Elided: e.Elided, Prog: prog,
 	}
 	if hasSpec {
 		specProg, err := e.DecodeSpecProgram()
@@ -324,7 +322,7 @@ func verifyEntry(e *Entry, recomputed string) (*VerifiedEntry, error) {
 				len(diags), e.Spec.Diags, firstDiag(diags))
 		}
 		sc := *e.SpecContract
-		ve.SpecProg, ve.SpecContract, ve.SpecShape = specProg, &sc, e.Spec.Shape
+		ve.SpecProg, ve.SpecContract, ve.SpecShape = specProg, &sc, strings.Clone(e.Spec.Shape)
 	}
 	return ve, nil
 }

@@ -185,12 +185,16 @@ type memCase struct {
 	name string
 	in   isa.Instr
 	kind memKind
+	// invalid marks a form isa.Instr.Validate must refuse; it is not
+	// launched.
+	invalid bool
 }
 
 // memCases builds the table: every memory opcode at every access size
 // (atomics only at 4 bytes, the one size isa.Instr.Validate accepts for
-// them), loads and atomics with and without the sign-extension flag and
-// with a register or RZ destination, each under an unconditional guard,
+// them), loads and atomics with and without the sign-extension flag
+// (which Validate refuses on atomics: no tier sign-extends their old
+// value) and with a register or RZ destination, each under an unconditional guard,
 // a guard true on some lanes and one true on none, at aligned,
 // page-straddling, unmapped and unmapped-straddling addresses. The
 // 4-byte forms also run at unit-stride addresses: inside one mapped
@@ -200,7 +204,7 @@ type memCase struct {
 // two tiers.)
 func memCases() []memCase {
 	var out []memCase
-	add := func(name string, in isa.Instr) {
+	add := func(name string, in isa.Instr, invalid bool) {
 		kinds := memUnmappedStraddle
 		if in.AccSize() == 4 {
 			kinds = memUnitUnmapped
@@ -209,7 +213,7 @@ func memCases() []memCase {
 			for k := memAligned; k <= kinds; k++ {
 				c := in
 				c.Pred = g
-				out = append(out, memCase{fmt.Sprintf("%s/%s/%s", name, g, k), c, k})
+				out = append(out, memCase{fmt.Sprintf("%s/%s/%s", name, g, k), c, k, invalid})
 			}
 		}
 	}
@@ -221,7 +225,7 @@ func memCases() []memCase {
 			}
 			in := isa.Instr{Op: op, Dst: isa.RZ, Src: [3]isa.Reg{memAddr, 3, isa.RZ}, Imm: memOff, Aux: lg}
 			if op.IsStore() && !atomic {
-				add(fmt.Sprintf("%s.%d", op, 8<<lg), in)
+				add(fmt.Sprintf("%s.%d", op, 8<<lg), in, false)
 				continue
 			}
 			for _, sx := range []uint8{0, isa.AuxSignExt} {
@@ -229,7 +233,7 @@ func memCases() []memCase {
 					c := in
 					c.Aux |= sx
 					c.Dst = dst
-					add(fmt.Sprintf("%s.%d/sx=%v/%s", op, 8<<lg, sx != 0, dst), c)
+					add(fmt.Sprintf("%s.%d/sx=%v/%s", op, 8<<lg, sx != 0, dst), c, atomic && sx != 0)
 				}
 			}
 		}
@@ -311,8 +315,7 @@ func memModel(c memCase, block int, inBase uint64) []byte {
 			v := m.load(addr, size)
 			switch c.in.Op {
 			case isa.ATOMG, isa.ATOMS:
-				// v, the old value, stays zero-extended whatever the
-				// sign-extension flag says.
+				// v, the old value, is zero-extended.
 				m.store(addr, uint64(uint32(v)+uint32(r3)), size)
 			case isa.STG, isa.STS, isa.STL:
 				m.store(addr, r3, size)
@@ -345,7 +348,12 @@ func memModel(c memCase, block int, inBase uint64) []byte {
 func TestMemoryOperandForms(t *testing.T) {
 	const block = 48
 	for _, c := range memCases() {
-		if err := c.in.Validate(); err != nil {
+		if err := c.in.Validate(); c.invalid {
+			if err == nil {
+				t.Fatalf("%s: validates, want a rejection", c.name)
+			}
+			continue
+		} else if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		p := memKernel(c.name, c.in, c.kind)

@@ -463,15 +463,23 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// maxReloadBytes caps a /reload body at 16 MiB, about 23 times the
+// 28-entry :spec bundle (711,259 bytes).
+const maxReloadBytes = 16 << 20
+
 // handleReload is POST /reload: decode a bundle from the body, verify,
-// and swap fleet-wide. A rejected bundle answers 422 with the typed
-// reason; the previous table keeps serving on every shard.
+// and swap fleet-wide. A rejected bundle, an over-cap body among them,
+// answers 422 with the typed reason; the previous table keeps serving
+// on every shard.
 func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	b, err := bundle.Decode(r.Body)
+	b, err := bundle.Decode(http.MaxBytesReader(w, r.Body, maxReloadBytes))
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		err = bundle.Reject(bundle.ReasonMalformed, "reload body exceeds %d bytes", tooBig.Limit)
+	}
 	if err == nil {
 		err = c.Reload(b)
 	}

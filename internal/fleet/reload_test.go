@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -251,4 +252,56 @@ func TestCoordinatorReloadHTTP(t *testing.T) {
 	if rej.Serving != v1.Digest || c.BundleDigest() != v1.Digest {
 		t.Fatalf("rejection moved the serving digest: %q, want %s", rej.Serving, v1.Digest)
 	}
+}
+
+// TestCoordinatorReloadOverCap: a /reload body one byte over the cap is
+// the same typed malformed 422 as any refused bundle, and the serving
+// bundle keeps serving.
+func TestCoordinatorReloadOverCap(t *testing.T) {
+	v1, _ := fleetBundles(t)
+	c, err := NewCoordinator(bundleConfig())
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer c.Shutdown(context.Background())
+	if err := c.Reload(v1); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	// A reader without a length, so the body streams chunked.
+	body := io.LimitReader(zeros{}, maxReloadBytes+1)
+	resp, err := http.Post(srv.URL+"/reload", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rej struct {
+		Status  string `json:"status"`
+		Reason  string `json:"reason"`
+		Error   string `json:"error"`
+		Serving string `json:"serving_bundle_digest"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity ||
+		rej.Status != "rejected" || rej.Reason != string(bundle.ReasonMalformed) ||
+		!strings.Contains(rej.Error, "exceeds") {
+		t.Fatalf("over-cap POST /reload = %d %+v, want the cap's malformed rejection", resp.StatusCode, rej)
+	}
+	if rej.Serving != v1.Digest || c.BundleDigest() != v1.Digest {
+		t.Fatalf("rejection moved the serving digest: %q, want %s", rej.Serving, v1.Digest)
+	}
+}
+
+// zeros is an endless stream of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }

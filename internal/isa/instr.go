@@ -288,6 +288,11 @@ func (in *Instr) Validate() error {
 		if (in.Op == ATOMG || in.Op == ATOMS) && sz != 4 {
 			return fmt.Errorf("isa: %s: atomic access size %d, only 4 is supported", in.Op, sz)
 		}
+		// Both tiers return an atomic's old value zero-extended; no tier
+		// reads the sign-extension flag there.
+		if (in.Op == ATOMG || in.Op == ATOMS) && in.SignExtend() {
+			return fmt.Errorf("isa: %s: sign-extension flag on an atomic", in.Op)
+		}
 	}
 	if in.Hint.A && !in.Op.IsInt() {
 		return fmt.Errorf("isa: %s: activation hint on non-integer instruction", in.Op)

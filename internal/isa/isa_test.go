@@ -92,6 +92,9 @@ func TestInstrValidate(t *testing.T) {
 		{Op: ATOMS, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 0, Pred: PT},
 		{Op: ATOMS, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 1, Pred: PT},
 		{Op: ATOMS, Dst: RZ, Src: [3]Reg{2, 3, RZ}, Aux: 3, Pred: PT},
+		// No tier sign-extends an atomic's old value.
+		{Op: ATOMG, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 2 | AuxSignExt, Pred: PT},
+		{Op: ATOMS, Dst: 1, Src: [3]Reg{2, 3, RZ}, Aux: 2 | AuxSignExt, Pred: PT},
 		// No tier reads an immediate on an opcode whose ImmSrcIndex is -1.
 		{Op: F2I, Dst: 1, Src: [3]Reg{2, RZ, RZ}, HasImm: true, Imm: 7, Pred: PT},
 		{Op: I2F, Dst: 1, Src: [3]Reg{2, RZ, RZ}, HasImm: true, Imm: 7, Pred: PT},

@@ -208,7 +208,7 @@ cmp "$tmpdir/fleet-j1.jsonl" "$tmpdir/fleet-j4.jsonl"
 # be a typed fail-closed rejection (nonzero exit, "bundle rejected" on
 # stderr) — the same path lmi-serve takes before opening its listener
 # or accepting a reload.
-echo "== signed bundle gate (build determinism, verify, tamper rejection)"
+echo "== signed bundle gate (build determinism, verify, tamper and whitespace-edit rejection)"
 devkey=0101010101010101010101010101010101010101010101010101010101010101
 devpub=$(go run ./cmd/lmi-compile -bundle "$tmpdir/bundle-j1.json" -key "$devkey" -jobs 1 \
     | awk '$1 == "signer" { print $2 }')
@@ -231,6 +231,24 @@ fi
 if ! grep -q 'bundle rejected' "$tmpdir/bundle-reject.txt"; then
     echo "check: FAIL: tampered bundle not rejected with the typed error:" >&2
     cat "$tmpdir/bundle-reject.txt" >&2
+    exit 1
+fi
+# A whitespace-only edit keeps the JSON's meaning but not the signed
+# bytes: the decoder accepts only the canonical encoding, so it must be
+# the same typed rejection.
+sed 's/,"mode":/, "mode":/' "$tmpdir/bundle-j1.json" > "$tmpdir/bundle-ws.json"
+if cmp -s "$tmpdir/bundle-j1.json" "$tmpdir/bundle-ws.json"; then
+    echo "check: FAIL: whitespace edit changed nothing" >&2
+    exit 1
+fi
+if go run ./cmd/lmi-compile -verify-bundle "$tmpdir/bundle-ws.json" -pub "$devpub" \
+    > /dev/null 2> "$tmpdir/bundle-ws-reject.txt"; then
+    echo "check: FAIL: whitespace-edited bundle verified" >&2
+    exit 1
+fi
+if ! grep -q 'bundle rejected' "$tmpdir/bundle-ws-reject.txt"; then
+    echo "check: FAIL: whitespace-edited bundle not rejected with the typed error:" >&2
+    cat "$tmpdir/bundle-ws-reject.txt" >&2
     exit 1
 fi
 
