@@ -79,11 +79,12 @@ serve:
 soak:
 	$(GO) run ./cmd/lmi-serve -soak -v
 
-# The fleet soak: 100000 seeded requests consistent-hash-sharded across
-# 4 simulated device workers under scripted shard kills, rejoins, and
-# burst overloads, with every request's safety decision logged as JSONL
-# (also part of the check gate, where the report and decision log must
-# additionally be byte-identical across worker counts).
+# The fleet soak: 100000 seeded requests hash-sharded across 4
+# simulated device workers under scripted burst overloads, replayed
+# through the live coordinator's serving state machine, with every
+# request's safety decision logged as JSONL (also part of the check
+# gate, where the report and decision log must additionally be
+# byte-identical across worker counts).
 fleet-soak:
 	$(GO) run ./cmd/lmi-serve -soak -shards 4 -requests 100000 \
 		-decision-log fleet-decisions.jsonl

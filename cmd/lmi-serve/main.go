@@ -1,6 +1,6 @@
 // Command lmi-serve hosts the simulation stack as a hardened
-// long-running service, or replays the chaos soak against the same
-// serving state machines. Both run on one serving core, internal/fleet:
+// long-running service, or replays the chaos soak through the same
+// serving state machine. Both run on one serving core, internal/fleet:
 // the live service is a fleet.Coordinator (-shards 1, the default, is
 // the single-node case) and -soak is fleet.FleetSoak.
 //
@@ -13,7 +13,7 @@
 //	lmi-serve -soak -seed 7 -requests 500 # bigger soak, chosen seed
 //	lmi-serve -soak -jobs 1               # single precompute worker (same report)
 //	lmi-serve -soak -v                    # plus the per-request log
-//	lmi-serve -soak -shards 4             # sharded soak under shard-kill chaos
+//	lmi-serve -soak -shards 4             # four-shard soak under burst overloads
 //	lmi-serve -tier compiled              # execute requests on the compiled tier
 //	lmi-serve -decision-log d.jsonl       # per-request safety decision records (JSONL)
 //	lmi-serve -bundle b.json -bundle-pub <hex>  # serve signed compiled artifacts
@@ -37,8 +37,7 @@
 // -shards: they are byte-identical for any -jobs value, and the soak
 // exits nonzero if any robustness property is violated (an untyped
 // per-request error, a missing result, an escaped engine panic, an
-// inconsistent breaker log, a silently dropped request after shard
-// death, a missing decision record). The live server drains gracefully
+// inconsistent breaker log, a missing decision record). The live server drains gracefully
 // on SIGTERM/SIGINT: it stops accepting, finishes everything in
 // flight, and flushes a JSON shutdown report to stdout.
 package main
@@ -150,10 +149,9 @@ func openDecisionLog(path string) (io.Writer, func() error, error) {
 	}, nil
 }
 
-// runFleetSoak replays the seeded stream through the fleet on the
-// virtual timeline, under scripted burst overloads and, with more than
-// one shard, shard kills and rejoins; nonzero when the robustness
-// contract is violated.
+// runFleetSoak replays the seeded stream through the fleet's serving
+// machine on the virtual timeline, under scripted burst overloads;
+// nonzero when the robustness contract is violated.
 func runFleetSoak(seed uint64, requests, shards, jobs, sms int, tier fastsim.Tier, logPath string, verbose bool) int {
 	logW, logClose, err := openDecisionLog(logPath)
 	if err != nil {

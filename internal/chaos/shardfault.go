@@ -6,87 +6,35 @@ import (
 	"time"
 )
 
-// ShardFaultKind identifies one fleet-level fault event. These extend
-// the single-device injection kinds with the failure modes only a
-// sharded serving fleet can express: whole-worker death, recovery, and
-// correlated load spikes.
-type ShardFaultKind string
-
-const (
-	// ShardKill marks the instant a shard dies: its in-flight attempts
-	// abort and everything it owned must be requeued to survivors.
-	ShardKill ShardFaultKind = "shard-kill"
-	// ShardRejoin marks the dead shard coming back empty (fresh breaker,
-	// cold queue) and rejoining the ring.
-	ShardRejoin ShardFaultKind = "shard-rejoin"
-	// BurstOverload marks a window in which the arrival rate multiplies,
-	// driving the admission queues toward their shed thresholds.
-	BurstOverload ShardFaultKind = "burst-overload"
-)
-
-// ShardFault is one scripted fleet fault.
+// ShardFault is one scripted fleet fault: a burst-overload window in
+// which the arrival rate multiplies, driving the admission queues
+// toward their shed thresholds. It extends the single-device injection
+// kinds with the failure mode only a serving fleet can express.
 type ShardFault struct {
-	// At is the virtual time the fault takes effect.
-	At time.Duration `json:"at_ns"`
-	// Kind is the fault class.
-	Kind ShardFaultKind `json:"kind"`
-	// Shard is the victim shard index (-1 for fleet-wide bursts).
-	Shard int `json:"shard"`
-	// Dur is the burst window length (0 for kill/rejoin events; the
-	// downtime of a kill is the gap to its paired rejoin).
-	Dur time.Duration `json:"dur_ns,omitempty"`
+	// At is the virtual time the burst starts and Dur its length.
+	At  time.Duration `json:"at_ns"`
+	Dur time.Duration `json:"dur_ns"`
 }
 
 func (f ShardFault) String() string {
-	if f.Kind == BurstOverload {
-		return fmt.Sprintf("%-14s at=%v dur=%v", f.Kind, f.At, f.Dur)
-	}
-	return fmt.Sprintf("%-14s at=%v shard=%d", f.Kind, f.At, f.Shard)
+	return fmt.Sprintf("burst-overload at=%v dur=%v", f.At, f.Dur)
 }
 
-// ShardFaultPlan scripts a deterministic fleet fault schedule: a pure
-// function of (seed, shards, horizon), independent of worker count.
-// Kill windows are non-overlapping in time — at most one shard is dead
-// at any instant — so with shards >= 2 the plan can never kill the
-// last alive shard, and every kill is paired with a rejoin inside the
-// horizon. Burst windows are laid out independently and may overlap
-// kill downtime (the worst case the soak is meant to exercise: a load
-// spike landing while the fleet is a shard down). Events are sorted by
-// time; a single-shard fleet gets only bursts.
-func ShardFaultPlan(seed uint64, shards int, horizon time.Duration) []ShardFault {
-	if shards < 1 || horizon <= 0 {
+// ShardFaultPlan scripts a deterministic fleet fault schedule: two to
+// four burst windows inside the horizon, a pure function of (seed,
+// horizon) and independent of worker count. Windows may overlap.
+// Events are sorted by time.
+func ShardFaultPlan(seed uint64, horizon time.Duration) []ShardFault {
+	if horizon <= 0 {
 		return nil
 	}
 	r := newRNG(MixSeed(seed, 0xF1EE7))
-	var plan []ShardFault
-
-	if shards >= 2 {
-		// Partition the middle 80% of the horizon into equal slots, one
-		// kill/rejoin cycle per slot: downtime is 30-60% of the slot, so
-		// windows cannot overlap and every rejoin lands inside its slot.
-		cycles := 2 + r.intn(shards)
-		span := horizon * 8 / 10
-		slot := span / time.Duration(cycles)
-		for i := 0; i < cycles; i++ {
-			slotStart := horizon/10 + time.Duration(i)*slot
-			down := slot * time.Duration(30+r.intn(31)) / 100
-			lead := time.Duration(r.intn(int(slot-down)/int(time.Millisecond)+1)) * time.Millisecond
-			victim := r.intn(shards)
-			at := slotStart + lead
-			plan = append(plan,
-				ShardFault{At: at, Kind: ShardKill, Shard: victim},
-				ShardFault{At: at + down, Kind: ShardRejoin, Shard: victim},
-			)
-		}
-	}
-
-	bursts := 2 + r.intn(3)
-	for i := 0; i < bursts; i++ {
+	plan := make([]ShardFault, 2+r.intn(3))
+	for i := range plan {
 		at := time.Duration(r.intn(int(horizon*9/10)/int(time.Millisecond)+1)) * time.Millisecond
 		dur := horizon/20 + time.Duration(r.intn(int(horizon/20)/int(time.Millisecond)+1))*time.Millisecond
-		plan = append(plan, ShardFault{At: at, Kind: BurstOverload, Shard: -1, Dur: dur})
+		plan[i] = ShardFault{At: at, Dur: dur}
 	}
-
 	sort.SliceStable(plan, func(i, j int) bool { return plan[i].At < plan[j].At })
 	return plan
 }

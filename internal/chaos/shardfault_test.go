@@ -8,8 +8,8 @@ import (
 // TestShardFaultPlanDeterministic: the plan is a pure function of its
 // inputs and changes with the seed.
 func TestShardFaultPlanDeterministic(t *testing.T) {
-	a := ShardFaultPlan(7, 4, 10*time.Second)
-	b := ShardFaultPlan(7, 4, 10*time.Second)
+	a := ShardFaultPlan(7, 10*time.Second)
+	b := ShardFaultPlan(7, 10*time.Second)
 	if len(a) != len(b) {
 		t.Fatalf("same inputs produced %d vs %d events", len(a), len(b))
 	}
@@ -18,7 +18,7 @@ func TestShardFaultPlanDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	c := ShardFaultPlan(8, 4, 10*time.Second)
+	c := ShardFaultPlan(8, 10*time.Second)
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -34,60 +34,27 @@ func TestShardFaultPlanDeterministic(t *testing.T) {
 }
 
 // TestShardFaultPlanInvariants walks many seeds and checks the
-// structural guarantees the fleet soak depends on: events sorted and
-// inside the horizon, every kill paired with a later rejoin of the same
-// shard, at most one shard dead at a time (so the last alive shard is
-// never killed), and valid shard indices.
+// structural guarantees the fleet soak depends on: two to four burst
+// windows, sorted, each of positive length and inside the horizon.
 func TestShardFaultPlanInvariants(t *testing.T) {
 	const horizon = 10 * time.Second
 	for seed := uint64(0); seed < 50; seed++ {
-		for _, shards := range []int{1, 2, 3, 4, 8} {
-			plan := ShardFaultPlan(seed, shards, horizon)
-			dead := -1
-			var last time.Duration
-			kills, rejoins := 0, 0
-			for _, f := range plan {
-				if f.At < last {
-					t.Fatalf("seed %d shards %d: plan not sorted: %v after %v", seed, shards, f.At, last)
-				}
-				last = f.At
-				if f.At < 0 || f.At > horizon || f.At+f.Dur > horizon {
-					t.Fatalf("seed %d shards %d: event outside horizon: %v", seed, shards, f)
-				}
-				switch f.Kind {
-				case ShardKill:
-					kills++
-					if f.Shard < 0 || f.Shard >= shards {
-						t.Fatalf("seed %d: kill of invalid shard %d", seed, f.Shard)
-					}
-					if dead != -1 {
-						t.Fatalf("seed %d shards %d: shard %d killed while %d still dead", seed, shards, f.Shard, dead)
-					}
-					dead = f.Shard
-				case ShardRejoin:
-					rejoins++
-					if f.Shard != dead {
-						t.Fatalf("seed %d shards %d: rejoin of %d but %d is dead", seed, shards, f.Shard, dead)
-					}
-					dead = -1
-				case BurstOverload:
-					if f.Shard != -1 || f.Dur <= 0 {
-						t.Fatalf("seed %d: malformed burst %v", seed, f)
-					}
-				}
+		plan := ShardFaultPlan(seed, horizon)
+		if len(plan) < 2 || len(plan) > 4 {
+			t.Fatalf("seed %d: %d bursts, want 2..4", seed, len(plan))
+		}
+		var last time.Duration
+		for _, f := range plan {
+			if f.At < last {
+				t.Fatalf("seed %d: plan not sorted: %v after %v", seed, f.At, last)
 			}
-			if dead != -1 {
-				t.Fatalf("seed %d shards %d: shard %d never rejoined", seed, shards, dead)
-			}
-			if shards == 1 && kills != 0 {
-				t.Fatalf("seed %d: single-shard fleet scripted a kill", seed)
-			}
-			if shards >= 2 && (kills < 2 || kills != rejoins) {
-				t.Fatalf("seed %d shards %d: %d kills / %d rejoins, want >= 2 and paired", seed, shards, kills, rejoins)
-			}
-			if len(ShardFaultPlan(seed, shards, 0)) != 0 {
-				t.Fatalf("zero horizon must script nothing")
+			last = f.At
+			if f.At < 0 || f.Dur <= 0 || f.At+f.Dur > horizon {
+				t.Fatalf("seed %d: burst outside horizon or empty: %v", seed, f)
 			}
 		}
+	}
+	if len(ShardFaultPlan(1, 0)) != 0 {
+		t.Fatalf("zero horizon must script nothing")
 	}
 }

@@ -18,10 +18,6 @@ import (
 	"lmi/internal/serve"
 )
 
-// ringReplicas is the consistent-hash ring's virtual nodes per shard,
-// for the live coordinator and the soak alike.
-const ringReplicas = 16
-
 // Config parameterises the live fleet coordinator.
 type Config struct {
 	// Shards is the number of simulated device workers (default 1: the
@@ -90,41 +86,39 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// liveTask is what a Submit waiting on an admitted request leaves for
+// the worker that serves it.
 type liveTask struct {
 	ctx  context.Context
 	req  serve.Request
 	done chan serve.Result
 }
 
-// liveShard is one shard of the live fleet: its own executor (and
-// therefore its own warm compiled-program cache), admission queue,
-// breaker (inside the Processor), and worker pool.
-type liveShard struct {
-	proc  *serve.Processor
-	queue chan liveTask
-}
-
-// Coordinator is the live serving driver: requests are routed by
-// consistent hash to a shard, admitted against the shard's queue and
-// the fleet budget, and run by the shard's worker pool through the
-// shard-local Processor (classify, retry, breaker) on the real clock.
-// One shard is the single-node service.
+// Coordinator is the live serving driver of the fleet's state machine.
+// Submit admits on the caller's goroutine; each shard's workers take
+// requests off its queue, run the attempts the machine starts on the
+// shard's executor, and sleep out the backoff of the retries it
+// schedules. The machine's decisions are made under mu on the wall
+// clock. One shard is the single-node service.
 type Coordinator struct {
-	cfg    Config
-	ring   *Ring
-	alive  []bool // every shard: the live fleet never loses one
-	shards []*liveShard
-	sink   *Sink
-	start  time.Time
-	wg     sync.WaitGroup
+	cfg   Config
+	execs []*serve.Executor // per shard: its warm compiled-program cache
+	// execute runs one attempt on a shard's executor (tests substitute
+	// it to script attempt outcomes).
+	execute func(ctx context.Context, shard int, req serve.Request, attempt int) serve.Outcome
+	// wake[i] holds one token per request queued on shard i. It is
+	// sized to the shard queue, which the machine never overfills, so
+	// Submit's send under mu cannot block. Shutdown closes it.
+	wake  []chan struct{}
+	sink  *Sink
+	start time.Time
+	wg    sync.WaitGroup
 
-	// mu guards the counters and the queues' admission: Submit enqueues
-	// and Shutdown closes the queues under it.
+	// mu guards the machine, draining and the waiting tasks.
 	mu       sync.Mutex
+	m        *machine
 	draining bool
-	stats    serve.Stats
-	executed []LiveShard
-	seq      int
+	waiting  map[int]liveTask
 
 	// reloadMu serializes Reload; verification and per-shard bring-up
 	// run under it, never on the serving path. serving is the fleet's
@@ -138,54 +132,40 @@ type Coordinator struct {
 // NewCoordinator builds the fleet and starts every shard's workers.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	execs := make([]*serve.Executor, cfg.Shards)
-	for i := range execs {
+	c := &Coordinator{
+		cfg:     cfg,
+		execs:   make([]*serve.Executor, cfg.Shards),
+		wake:    make([]chan struct{}, cfg.Shards),
+		start:   time.Now(),
+		waiting: make(map[int]liveTask),
+	}
+	for i := range c.execs {
 		exec, err := serve.NewExecutorTier(cfg.SMs, cfg.Tier)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: shard %d executor: %w", i, err)
 		}
 		exec.SetSpecialize(cfg.Specialize)
-		execs[i] = exec
+		c.execs[i] = exec
+	}
+	c.execute = func(ctx context.Context, shard int, req serve.Request, attempt int) serve.Outcome {
+		return c.execs[shard].Execute(ctx, req, serve.AttemptSeed(req.Seed, attempt))
 	}
 	logW := cfg.DecisionLog
 	if logW == nil {
 		logW = io.Discard
 	}
-	c := &Coordinator{
-		cfg:      cfg,
-		ring:     NewRing(cfg.Shards, ringReplicas),
-		alive:    make([]bool, cfg.Shards),
-		shards:   make([]*liveShard, cfg.Shards),
-		sink:     NewSink(logW, cfg.LogBuffer),
-		start:    time.Now(),
-		executed: make([]LiveShard, cfg.Shards),
-	}
-	for i, exec := range execs {
-		c.alive[i] = true
-		c.shards[i] = &liveShard{
-			proc: &serve.Processor{
-				Exec:            exec,
-				Brk:             serve.NewBreaker(cfg.Breaker),
-				Retry:           cfg.Retry,
-				DefaultDeadline: cfg.DefaultDeadline,
-				Logf:            cfg.Logf,
-				Now:             func() time.Duration { return time.Since(c.start) },
-				Sleep: func(ctx context.Context, d time.Duration) {
-					t := time.NewTimer(d)
-					defer t.Stop()
-					select {
-					case <-t.C:
-					case <-ctx.Done():
-					}
-				},
-				OnRetry: func() {
-					c.mu.Lock()
-					c.stats.Retries++
-					c.mu.Unlock()
-				},
-			},
-			queue: make(chan liveTask, cfg.QueueCapacity),
+	c.sink = NewSink(logW, cfg.LogBuffer)
+	c.m = newMachine(shape{
+		shards: cfg.Shards, queueCap: cfg.QueueCapacity, budget: cfg.FleetBudget,
+		retry: cfg.Retry, breaker: cfg.Breaker, tier: runner.TierLabel(cfg.Tier),
+	}, c.sink, func(seq int, res serve.Result) {
+		if t, ok := c.waiting[seq]; ok {
+			t.done <- res
+			delete(c.waiting, seq)
 		}
+	})
+	for i := range c.wake {
+		c.wake[i] = make(chan struct{}, cfg.QueueCapacity)
 		c.wg.Add(cfg.WorkersPerShard)
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			go c.worker(i)
@@ -194,92 +174,87 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// worker drains shard i's queue until Shutdown closes it. It finalizes
-// every task it dequeues — counters and decision record — even when
-// the client gave up while the task was queued.
+// now is the service-relative wall clock the machine's events carry.
+func (c *Coordinator) now() time.Duration { return time.Since(c.start) }
+
+// worker serves shard i's queue until Shutdown closes it. It carries
+// every request it dequeues to a final disposition — counters and
+// decision record — even when the client gave up while it was queued.
 func (c *Coordinator) worker(i int) {
 	defer c.wg.Done()
-	sh := c.shards[i]
-	for t := range sh.queue {
+	for range c.wake[i] {
 		c.mu.Lock()
-		c.stats.InFlight++
+		seq, _ := c.m.Dequeue(i)
+		t := c.waiting[seq]
 		c.mu.Unlock()
-		res := sh.proc.Process(t.ctx, t.req)
-		brk := sh.proc.Brk.State(t.req.Key())
+		c.serve(i, seq, t)
+	}
+}
+
+// serve runs one dequeued request's attempts. The machine decides
+// whether each attempt may start and what follows it; the worker
+// executes them and sleeps out each retry's backoff, so a retrying
+// request holds its worker and never re-enters admission.
+func (c *Coordinator) serve(shard, seq int, t liveTask) {
+	if err := c.execs[shard].Validate(t.req); err != nil {
 		c.mu.Lock()
-		c.stats.InFlight--
-		c.executed[i].Executed++
-		c.finalize(res, i, brk)
+		c.m.Refuse(seq, err)
 		c.mu.Unlock()
-		t.done <- res
+		return
+	}
+	deadline := t.req.Deadline
+	if deadline <= 0 {
+		deadline = c.cfg.DefaultDeadline
+	}
+	for {
+		c.mu.Lock()
+		attempt, ok := c.m.Start(seq, c.now())
+		c.mu.Unlock()
+		if !ok {
+			return
+		}
+		actx, cancel := context.WithTimeout(t.ctx, deadline)
+		out := c.execute(actx, shard, t.req, attempt)
+		cancel()
+		c.mu.Lock()
+		backoff, retry := c.m.Finish(seq, c.now(), out, t.ctx.Err())
+		c.mu.Unlock()
+		if !retry {
+			return
+		}
+		c.cfg.Logf("serve: %s seed=0x%x retrying attempt %d after %v", t.req.Key(), t.req.Seed, attempt+1, backoff)
+		timer := time.NewTimer(backoff)
+		select {
+		case <-timer.C:
+		case <-t.ctx.Done():
+			timer.Stop()
+		}
 	}
 }
 
-// finalize folds a final disposition into the counters and emits the
-// request's decision record. Called with mu held; the sink never
-// blocks.
-func (c *Coordinator) finalize(res serve.Result, shard int, brk serve.BreakerState) {
-	switch res.Status {
-	case serve.StatusOK:
-		c.stats.OK++
-	case serve.StatusShed:
-		c.stats.Shed++
-	case serve.StatusRejected:
-		c.stats.Rejected++
-	case serve.StatusExhausted:
-		c.stats.Exhausted++
-	default:
-		c.stats.Failed++
-	}
-	c.sink.Offer(decisionFrom(c.seq, res, shard, 0, brk, c.cfg.Retry, runner.TierLabel(c.cfg.Tier)))
-	c.seq++
-}
-
-// depth sums the queued tasks across shards.
-func (c *Coordinator) depth() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += len(sh.queue)
-	}
-	return n
-}
-
-// Submit admits one request: route it by consistent hash to its
-// shard, shed it on the fleet budget or the shard's full queue, or
-// refuse it while draining; otherwise wait for the final Result. The
-// returned error is non-nil only when the request produced no result
-// for this caller (shed, draining, client gone). Every admitted or
-// shed request emits exactly one decision record.
+// Submit admits one request: the machine routes it to its shard and
+// queues or sheds it, and a draining fleet refuses it; otherwise Submit
+// waits for the final Result. The returned error is non-nil only when
+// the request produced no result for this caller (shed, draining,
+// client gone). Every admitted or shed request emits exactly one
+// decision record.
 func (c *Coordinator) Submit(ctx context.Context, req serve.Request) (serve.Result, error) {
-	t := liveTask{ctx: ctx, req: req, done: make(chan serve.Result, 1)}
-	owner := c.ring.Owner(RequestHash(req), c.alive)
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
 		return serve.Result{}, serve.ErrDraining
 	}
-	var err error
-	if c.depth() >= c.cfg.FleetBudget {
-		err = ErrFleetOverloaded
-	} else {
-		select {
-		case c.shards[owner].queue <- t:
-		default:
-			err = serve.ErrOverloaded
-		}
-	}
+	seq, shard, err := c.m.Admit(req)
 	if err != nil {
-		c.finalize(serve.Result{Req: req, Status: serve.StatusShed, Err: err, Class: serve.Classify(err)}, -1, "")
 		c.mu.Unlock()
 		return serve.Result{}, err
 	}
-	c.stats.Accepted++
-	if d := c.depth(); d > c.stats.HighWater {
-		c.stats.HighWater = d
-	}
+	done := make(chan serve.Result, 1)
+	c.waiting[seq] = liveTask{ctx: ctx, req: req, done: done}
+	c.wake[shard] <- struct{}{}
 	c.mu.Unlock()
 	select {
-	case res := <-t.done:
+	case res := <-done:
 		return res, nil
 	case <-ctx.Done():
 		// The worker still finishes the attempt (its context is this
@@ -306,13 +281,13 @@ func (c *Coordinator) Reload(b *bundle.Bundle) error {
 		c.mu.Lock()
 		prev := c.serving
 		c.mu.Unlock()
-		for i, sh := range c.shards {
-			if serr := sh.proc.Exec.SetBundle(v); serr != nil {
+		for i, exec := range c.execs {
+			if serr := exec.SetBundle(v); serr != nil {
 				err = fmt.Errorf("fleet: shard %d: %w", i, serr)
-				for j := 0; j < i; j++ {
+				for _, swapped := range c.execs[:i] {
 					// prev brought up on these shards before; reinstalling it
 					// cannot fail a compile.
-					c.shards[j].proc.Exec.SetBundle(prev)
+					swapped.SetBundle(prev)
 				}
 				break
 			}
@@ -331,7 +306,7 @@ func (c *Coordinator) Reload(b *bundle.Bundle) error {
 		c.cfg.Logf("fleet: reload rejected (still serving %q): %v", c.BundleDigest(), err)
 		return err
 	}
-	c.cfg.Logf("fleet: reload ok, serving bundle %s on %d shards", v.Digest(), len(c.shards))
+	c.cfg.Logf("fleet: reload ok, serving bundle %s on %d shards", v.Digest(), len(c.execs))
 	return nil
 }
 
@@ -346,18 +321,11 @@ func (c *Coordinator) BundleDigest() string {
 	return c.serving.Digest()
 }
 
-// LiveShard is one shard's line in /stats and in the shutdown report.
-// The live fleet never loses a shard, so unlike the soak's ShardSummary
-// it carries no requeue or kill counts.
-type LiveShard struct {
-	Executed int `json:"executed"`
-}
-
 // ShutdownReport is the JSON document flushed on graceful drain.
 type ShutdownReport struct {
 	Uptime      time.Duration                   `json:"uptime_ns"`
 	Stats       serve.Stats                     `json:"stats"`
-	Shards      []LiveShard                     `json:"shards"`
+	Shards      []ShardSummary                  `json:"shards"`
 	Breakers    []map[string]serve.BreakerState `json:"breakers"`
 	Transitions []ShardTransition               `json:"breaker_transitions"`
 	Decisions   SinkStats                       `json:"decisions"`
@@ -372,8 +340,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) ShutdownReport {
 	c.mu.Lock()
 	if !c.draining {
 		c.draining = true
-		for _, sh := range c.shards {
-			close(sh.queue)
+		for _, w := range c.wake {
+			close(w)
 		}
 	}
 	c.mu.Unlock()
@@ -387,26 +355,22 @@ func (c *Coordinator) Shutdown(ctx context.Context) ShutdownReport {
 	c.sink.Close()
 	rep := ShutdownReport{Uptime: time.Since(c.start), Decisions: c.sink.Stats()}
 	rep.Stats, rep.Shards, rep.Breakers = c.snapshot()
-	for i, sh := range c.shards {
-		for _, t := range sh.proc.Brk.Transitions() {
-			rep.Transitions = append(rep.Transitions, ShardTransition{Shard: i, Transition: t})
-		}
-	}
+	c.mu.Lock()
+	rep.Transitions = c.m.transitions()
+	c.mu.Unlock()
 	return rep
 }
 
 // snapshot copies the fleet counters, the per-shard summaries, and
 // each shard's breaker cells.
-func (c *Coordinator) snapshot() (serve.Stats, []LiveShard, []map[string]serve.BreakerState) {
-	breakers := make([]map[string]serve.BreakerState, len(c.shards))
-	for i, sh := range c.shards {
-		breakers[i] = sh.proc.Brk.Snapshot()
-	}
+func (c *Coordinator) snapshot() (serve.Stats, []ShardSummary, []map[string]serve.BreakerState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stats
-	st.Depth = c.depth()
-	return st, append([]LiveShard(nil), c.executed...), breakers
+	breakers := make([]map[string]serve.BreakerState, len(c.m.brks))
+	for i, b := range c.m.brks {
+		breakers[i] = b.Snapshot()
+	}
+	return c.m.stats, append([]ShardSummary(nil), c.m.perShard...), breakers
 }
 
 // Handler returns the HTTP surface: POST /run, POST /reload, GET
@@ -422,7 +386,7 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
-		draining, depth := c.draining, c.depth()
+		draining, depth := c.draining, c.m.stats.Depth
 		c.mu.Unlock()
 		switch {
 		case draining:
@@ -454,7 +418,7 @@ func (c *Coordinator) Handler() http.Handler {
 			ReloadCount      uint64                          `json:"reload_count,omitempty"`
 			LastReloadStatus string                          `json:"last_reload_status,omitempty"`
 			Stats            serve.Stats                     `json:"stats"`
-			Shards           []LiveShard                     `json:"shards"`
+			Shards           []ShardSummary                  `json:"shards"`
 			Breakers         []map[string]serve.BreakerState `json:"breakers"`
 			Decisions        SinkStats                       `json:"decisions"`
 		}{time.Since(c.start), runner.TierLabel(c.cfg.Tier), draining,
@@ -466,6 +430,12 @@ func (c *Coordinator) Handler() http.Handler {
 // maxReloadBytes caps a /reload body at 16 MiB, about 23 times the
 // 28-entry :spec bundle (711,259 bytes).
 const maxReloadBytes = 16 << 20
+
+// maxRunBytes caps a /run body at 4 KiB. A request with every field
+// at its longest spelling (a 20-digit seed, the longest workload,
+// mechanism and injection names, a 19-digit deadline) is under 200
+// bytes; the rest is room for a client's whitespace.
+const maxRunBytes = 4 << 10
 
 // handleReload is POST /reload: decode a bundle from the body, verify,
 // and swap fleet-wide. A rejected bundle, an over-cap body among them,
@@ -502,14 +472,15 @@ func (c *Coordinator) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // handleRun is POST /run: decode, submit, map the disposition onto an
 // HTTP status (200 executed-ok, 400 bad request, 429 shed, 503
-// circuit-open or draining, 502 failed/exhausted).
+// circuit-open or draining, 502 failed/exhausted). A body over
+// maxRunBytes is a bad request like any other undecodable body.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req serve.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBytes)).Decode(&req); err != nil {
 		writeResult(w, http.StatusBadRequest, serve.Result{
 			Status: serve.StatusFailed, Class: serve.ClassTerminal,
 			Err: fmt.Errorf("%w: %v", serve.ErrBadRequest, err),

@@ -16,16 +16,14 @@ import (
 	"lmi/internal/serve"
 )
 
-// seedOwnedBy finds request seeds a fleet of the given shape routes to
-// the wanted shard while all shards are alive.
-func seedsOwnedBy(t *testing.T, shards, replicas, shard, n int) []uint64 {
+// seedsOwnedBy finds request seeds a fleet of the given size routes to
+// the wanted shard.
+func seedsOwnedBy(t *testing.T, shards, shard, n int) []uint64 {
 	t.Helper()
-	r := NewRing(shards, replicas)
-	alive := allAlive(shards)
 	var out []uint64
 	for seed := uint64(1); len(out) < n && seed < 100000; seed++ {
 		req := serve.Request{Mechanism: "lmi", Kind: "control", Seed: seed}
-		if r.Owner(RequestHash(req), alive) == shard {
+		if shardOf(req, shards) == shard {
 			out = append(out, seed)
 		}
 	}
@@ -184,7 +182,7 @@ func TestCoordinatorClientGoneStillDecided(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	seeds := seedsOwnedBy(t, 2, 16, 0, 2)
+	seeds := seedsOwnedBy(t, 2, 0, 2)
 
 	// Wedge shard 0's only worker in a retry backoff (a 1ns attempt
 	// deadline fails fast and retryably); cancelling its context later
@@ -326,5 +324,42 @@ func TestCoordinatorConcurrentSubmit(t *testing.T) {
 	}
 	if len(seen) != n || rep.Decisions.Written != n {
 		t.Fatalf("%d decision records (%+v), want %d", len(seen), rep.Decisions, n)
+	}
+}
+
+// TestCoordinatorRunOverCap: a /run body one byte over maxRunBytes —
+// here a well-formed request padded with an unknown field, streamed
+// without a length — is a 400 with the typed bad-request error, and the
+// request is neither admitted nor logged.
+func TestCoordinatorRunOverCap(t *testing.T) {
+	var log bytes.Buffer
+	c, err := NewCoordinator(testConfig(&log))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	const head, tail = `{"pad":"`, `","mechanism":"lmi","kind":"control","seed":5}`
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(zeros{}, maxRunBytes+1-int64(len(head)+len(tail))), strings.NewReader(tail))
+	resp, err := http.Post(srv.URL+"/run", "application/json", body)
+	if err != nil {
+		t.Fatalf("POST /run: %v", err)
+	}
+	var run struct {
+		Status string `json:"status"`
+		Error  string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&run); err != nil {
+		t.Fatalf("decode /run: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(run.Error, serve.ErrBadRequest.Error()) {
+		t.Fatalf("over-cap POST /run = %d %+v, want 400 with a typed bad request", resp.StatusCode, run)
+	}
+	rep := c.Shutdown(context.Background())
+	if rep.Stats.Accepted != 0 || rep.Stats.Shed != 0 || rep.Decisions.Written != 0 || log.Len() != 0 {
+		t.Fatalf("over-cap request reached the fleet: stats %+v, decisions %+v", rep.Stats, rep.Decisions)
 	}
 }

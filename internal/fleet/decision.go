@@ -13,11 +13,11 @@ import (
 // the fleet decided about the request (verdict + typed error), where
 // it ran (shard, tier), what the mechanism observed (fault count,
 // extent-check counters, chaos outcome), and what the serving policies
-// did along the way (requeues, retry schedule, breaker state). One
-// record is emitted per request, at its final disposition.
+// did along the way (retry schedule, breaker state). One record is
+// emitted per request, at its final disposition.
 type Decision struct {
-	// Seq is the request's index in the stream (live mode: admission
-	// order).
+	// Seq is the request's admission order (in the soak, its index in
+	// the stream).
 	Seq int `json:"seq"`
 	// Key is the breaker cell: workload/mechanism.
 	Key string `json:"key"`
@@ -27,10 +27,8 @@ type Decision struct {
 	// JSON's float53-safe integer range).
 	Seed string `json:"seed"`
 	// Shard is the shard that produced the final verdict (-1 when the
-	// request never executed: shed, lost, rejected before dispatch).
+	// request never reached a shard: shed).
 	Shard int `json:"shard"`
-	// Requeues counts shard-death redistributions the request survived.
-	Requeues int `json:"requeues,omitempty"`
 	// Status and Class are the final disposition and its retry class.
 	Status string `json:"status"`
 	Class  string `json:"class,omitempty"`
@@ -164,7 +162,7 @@ func (s *Sink) Stats() SinkStats {
 }
 
 // decisionFrom assembles the record for a finalized result.
-func decisionFrom(seq int, res serve.Result, shard, requeues int,
+func decisionFrom(seq int, res serve.Result, shard int,
 	breaker serve.BreakerState, retry serve.RetryConfig, tier string) Decision {
 	d := Decision{
 		Seq:       seq,
@@ -172,7 +170,6 @@ func decisionFrom(seq int, res serve.Result, shard, requeues int,
 		Kind:      string(res.Req.Kind),
 		Seed:      SeedString(res.Req.Seed),
 		Shard:     shard,
-		Requeues:  requeues,
 		Status:    string(res.Status),
 		Class:     string(res.Class),
 		Outcome:   string(res.Outcome),

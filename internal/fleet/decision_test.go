@@ -144,8 +144,8 @@ func TestDecisionFromRetrySchedule(t *testing.T) {
 		Status:   serve.StatusOK,
 		Attempts: 3,
 	}
-	d := decisionFrom(7, res, 1, 2, serve.BreakerClosed, retry, "compiled")
-	if d.Seq != 7 || d.Shard != 1 || d.Requeues != 2 || d.Tier != "compiled" {
+	d := decisionFrom(7, res, 1, serve.BreakerClosed, retry, "compiled")
+	if d.Seq != 7 || d.Shard != 1 || d.Tier != "compiled" {
 		t.Fatalf("decision misassembled: %+v", d)
 	}
 	if len(d.RetryNS) != 2 {

@@ -145,8 +145,8 @@ func TestCoordinatorReloadRejectionKeepsServing(t *testing.T) {
 	if err := c.Reload(tampered); bundle.RejectionReason(err) != bundle.ReasonWrongKey {
 		t.Fatalf("tampered reload: %v, want wrong-key rejection", err)
 	}
-	for i, sh := range c.shards {
-		if got := sh.proc.Exec.BundleDigest(); got != v1.Digest {
+	for i, exec := range c.execs {
+		if got := exec.BundleDigest(); got != v1.Digest {
 			t.Fatalf("shard %d serves %q after rejected reload, want %s", i, got, v1.Digest)
 		}
 	}

@@ -141,31 +141,10 @@ func prepareSoakBundles(ctx context.Context, cfg SoakConfig, exec *serve.Executo
 
 // genuineReloadTimes scripts the two genuine reloads: one mid-first-
 // burst (a reload landing while the queues are at their shed
-// thresholds) and one mid-first-kill-downtime (a reload landing while
-// a shard is dead, so its Rejoin must come back on the new epoch).
-// Plans without a burst or a kill fall back to fixed horizon fractions.
+// thresholds; a plan always has a burst) and one at two thirds of the
+// horizon.
 func genuineReloadTimes(plan []chaos.ShardFault, horizon time.Duration) []time.Duration {
-	t1 := horizon / 3
-	for _, f := range plan {
-		if f.Kind == chaos.BurstOverload {
-			t1 = f.At + f.Dur/2
-			break
-		}
-	}
-	t2 := 2 * horizon / 3
-	for _, f := range plan {
-		if f.Kind != chaos.ShardKill {
-			continue
-		}
-		for _, g := range plan {
-			if g.Kind == chaos.ShardRejoin && g.Shard == f.Shard && g.At > f.At {
-				t2 = f.At + (g.At-f.At)/2
-				break
-			}
-		}
-		break
-	}
-	return []time.Duration{t1, t2}
+	return []time.Duration{plan[0].At + plan[0].Dur/2, 2 * horizon / 3}
 }
 
 // shortDigest truncates a digest for the text report (the JSON

@@ -12,14 +12,12 @@ import (
 
 // Violations audits the report against the fleet's robustness
 // contract and returns one message per breach (empty = clean run).
-// The contract extends the single-server soak's: every request in the
-// stream reaches exactly one final result; a request displaced by
-// shard death is either re-executed on a survivor or abandoned with
-// the typed ErrShardLost — never silently dropped; every shed carries
-// ErrOverloaded or ErrFleetOverloaded; every failure is typed and its
-// class matches; no engine panic escapes into a result; every request
-// has a decision record (the sink dropped nothing); and each shard
-// epoch's breaker transition log is internally consistent.
+// The contract: every request in the stream reaches exactly one final
+// result; every shed carries ErrOverloaded or ErrFleetOverloaded; every
+// failure is typed and its class matches; no engine panic escapes into
+// a result; every request has a decision record (the sink dropped
+// nothing); and each shard's breaker transition log is internally
+// consistent.
 func (r *SoakReport) Violations() []string {
 	var v []string
 	for i, res := range r.Results {
@@ -32,10 +30,6 @@ func (r *SoakReport) Violations() []string {
 				v = append(v, fmt.Sprintf("request %d: ok but err=%v", i, res.Err))
 			}
 			continue
-		case StatusLost:
-			if !errors.Is(res.Err, ErrShardLost) {
-				v = append(v, fmt.Sprintf("request %d: lost without ErrShardLost: %v", i, res.Err))
-			}
 		case serve.StatusShed:
 			if !errors.Is(res.Err, serve.ErrOverloaded) && !errors.Is(res.Err, ErrFleetOverloaded) {
 				v = append(v, fmt.Sprintf("request %d: shed without a typed overload error: %v", i, res.Err))
@@ -115,22 +109,22 @@ func (r *SoakReport) Violations() []string {
 		}
 	}
 
-	// Each shard epoch's transition chain must start from closed and be
-	// continuous (a rejoined shard starts a fresh breaker).
+	// Each shard's transition chain must start from closed and be
+	// continuous.
 	type cell struct {
-		shard, epoch int
-		key          string
+		shard int
+		key   string
 	}
 	state := make(map[cell]serve.BreakerState)
 	for i, t := range r.Transitions {
-		c := cell{t.Shard, t.Epoch, t.Key}
+		c := cell{t.Shard, t.Key}
 		from := state[c]
 		if from == "" {
 			from = serve.BreakerClosed
 		}
 		if t.From != from {
-			v = append(v, fmt.Sprintf("transition %d: shard %d epoch %d %s from %s but cell was %s",
-				i, t.Shard, t.Epoch, t.Key, t.From, from))
+			v = append(v, fmt.Sprintf("transition %d: shard %d %s from %s but cell was %s",
+				i, t.Shard, t.Key, t.From, from))
 		}
 		state[c] = t.To
 	}
@@ -141,10 +135,9 @@ func (r *SoakReport) Violations() []string {
 // per-request log.
 func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	cfg := r.Config
-	fmt.Fprintf(w, "lmi-fleet soak  seed=0x%x  requests=%d  shards=%d  replicas=%d  servers/shard=%d  queue/shard=%d\n",
-		cfg.Seed, cfg.Requests, cfg.Shards, ringReplicas, soakServers, soakQueueCapacity)
-	fmt.Fprintf(w, "fleet budget: %d queued  max requeues: %d  arrival: %v\n",
-		cfg.fleetBudget(), soakMaxRequeues, soakArrivalEvery)
+	fmt.Fprintf(w, "lmi-fleet soak  seed=0x%x  requests=%d  shards=%d  servers/shard=%d  queue/shard=%d\n",
+		cfg.Seed, cfg.Requests, cfg.Shards, soakServers, soakQueueCapacity)
+	fmt.Fprintf(w, "fleet budget: %d queued  arrival: %v\n", cfg.fleetBudget(), soakArrivalEvery)
 	fmt.Fprintf(w, "retry: %d attempts, base %v, cap %v   breaker: open@%d, cooldown %v, close@%d probes\n",
 		cfg.Retry.MaxAttempts, cfg.Retry.BackoffBase, cfg.Retry.BackoffMax,
 		cfg.Breaker.FailThreshold, cfg.Breaker.Cooldown, cfg.Breaker.ProbeSuccesses)
@@ -173,7 +166,7 @@ func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-12s %s\n", "status", "count")
 	for _, st := range []serve.Status{serve.StatusOK, serve.StatusFailed, serve.StatusExhausted,
-		serve.StatusShed, serve.StatusRejected, StatusLost} {
+		serve.StatusShed, serve.StatusRejected} {
 		fmt.Fprintf(w, "%-12s %d\n", st, r.Counts[st])
 	}
 	fmt.Fprintln(w)
@@ -186,14 +179,13 @@ func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "retries scheduled: %d\n", r.Retries)
-	fmt.Fprintf(w, "shard-death requeues: %d\n", r.Requeues)
 	fmt.Fprintf(w, "decision records: written=%d dropped=%d\n", r.Decisions.Written, r.Decisions.Dropped)
 	fmt.Fprintf(w, "fleet queue high-watermark: %d of %d\n", r.HighWater, cfg.fleetBudget())
 	fmt.Fprintf(w, "virtual makespan: %v\n", r.Makespan)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "per-shard:")
 	for s, sh := range r.Shards {
-		fmt.Fprintf(w, "  shard %d: executed=%d requeued-away=%d kills=%d\n", s, sh.Executed, sh.Requeued, sh.Kills)
+		fmt.Fprintf(w, "  shard %d: executed=%d\n", s, sh.Executed)
 	}
 	fmt.Fprintln(w)
 	if len(r.Transitions) == 0 {
@@ -201,8 +193,8 @@ func (r *SoakReport) Render(w io.Writer, verbose bool) {
 	} else {
 		fmt.Fprintf(w, "breaker transitions (%d):\n", len(r.Transitions))
 		for _, t := range r.Transitions {
-			fmt.Fprintf(w, "  [%12v] shard%d/e%d %-18s %-9s -> %-9s %s\n",
-				t.At, t.Shard, t.Epoch, t.Key, t.From, t.To, t.Cause)
+			fmt.Fprintf(w, "  [%12v] shard%d %-18s %-9s -> %-9s %s\n",
+				t.At, t.Shard, t.Key, t.From, t.To, t.Cause)
 		}
 	}
 	if verbose {

@@ -1,4 +1,4 @@
-// Package serve holds the shard-local serving state machines over the
+// Package serve holds the shard-local serving pieces over the
 // simulation stack. It accepts kernel-execution requests (workload,
 // mechanism, optional chaos injection, seed) and executes them on the
 // existing runner/sim machinery with production-grade robustness:
@@ -7,10 +7,11 @@
 // failures, deterministic exponential backoff with seeded jitter, and
 // a per-(workload, mechanism) circuit breaker.
 //
-// internal/fleet drives these state machines in both of its modes. Its
-// Coordinator hosts them behind cmd/lmi-serve's HTTP/JSON surface with
+// internal/fleet's serving state machine makes every admission, retry
+// and breaker decision over these pieces, in both of its drivers. Its
+// Coordinator hosts it behind cmd/lmi-serve's HTTP/JSON surface with
 // the real clock and real concurrency (one shard is the single-node
-// service). Its FleetSoak replays a seeded request stream through them
+// service). Its FleetSoak replays a seeded request stream through it
 // on a virtual timeline: attempt outcomes are precomputed in parallel
 // here (PrecomputeAttempts; each is a pure function of its seed) and
 // the serving dynamics are then simulated single-threaded in virtual

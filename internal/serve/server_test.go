@@ -272,48 +272,12 @@ func TestServerShedsWhenFull(t *testing.T) {
 
 // TestServerRetriesWithBackoff: a request whose attempts always exceed
 // their deadline is retried MaxAttempts times with the deterministic
-// backoff schedule and ends exhausted — in the shard-local Processor
-// (the schedule captured via the injected sleep) and through the live
-// service (the retries counted, the schedule in the decision record).
+// backoff schedule and ends exhausted: the retries are counted and the
+// schedule is in the decision record.
 func TestServerRetriesWithBackoff(t *testing.T) {
-	exec, err := NewExecutor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	retry := RetryConfig{MaxAttempts: 3, BackoffBase: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond}.WithDefaults()
-	start := time.Now()
-	var slept []time.Duration
-	p := &Processor{
-		Exec:  exec,
-		Brk:   NewBreaker(BreakerConfig{}),
-		Retry: retry,
-		// An attempt deadline far below any real trial's runtime: every
-		// attempt dies in the watchdog with a retryable context error.
-		DefaultDeadline: time.Nanosecond,
-		Now:             func() time.Duration { return time.Since(start) },
-		Sleep:           func(_ context.Context, d time.Duration) { slept = append(slept, d) },
-	}
-
 	req := Request{Mechanism: "lmi", Kind: "control", Seed: 9}
-	checkExhausted := func(res Result) {
-		t.Helper()
-		if res.Status != StatusExhausted || res.Attempts != retry.MaxAttempts {
-			t.Fatalf("result = %+v, want exhausted after %d attempts", res, retry.MaxAttempts)
-		}
-		if res.Class != ClassRetryable || !errors.Is(res.Err, context.DeadlineExceeded) {
-			t.Fatalf("final error %v (class %s) is not a typed deadline", res.Err, res.Class)
-		}
-	}
-	checkExhausted(p.Process(context.Background(), req))
 	want := []time.Duration{retry.Delay(req.Seed, 0), retry.Delay(req.Seed, 1)}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %d backoffs", slept, len(want))
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff %d = %v, want %v (deterministic schedule)", i, slept[i], want[i])
-		}
-	}
 
 	var log bytes.Buffer
 	s, err := fleet.NewCoordinator(fleet.Config{
@@ -326,7 +290,14 @@ func TestServerRetriesWithBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExhausted(res)
+	// The 1ns attempt deadline is far below any real trial's runtime:
+	// every attempt dies in the watchdog with a retryable context error.
+	if res.Status != StatusExhausted || res.Attempts != retry.MaxAttempts {
+		t.Fatalf("result = %+v, want exhausted after %d attempts", res, retry.MaxAttempts)
+	}
+	if res.Class != ClassRetryable || !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("final error %v (class %s) is not a typed deadline", res.Err, res.Class)
+	}
 	rep := s.Shutdown(context.Background())
 	if rep.Stats.Retries != uint64(len(want)) || rep.Stats.Exhausted != 1 {
 		t.Fatalf("stats = %+v, want %d retries and 1 exhausted", rep.Stats, len(want))

@@ -164,9 +164,10 @@ go run ./cmd/lmi-bench -all -tier compiled -jobs 4 > "$tmpdir/bench-compiled-j4.
 cmp "$tmpdir/bench-compiled-j1.txt" "$tmpdir/bench-compiled-j4.txt"
 
 # Serving soak smoke: 200 seeded chaos requests replayed through the
-# single-node (one-shard) serving core — admission queue and fleet
-# budget, classified retries, circuit breaker, signed-bundle reloads —
-# on the virtual timeline. The soak itself exits nonzero on any
+# single-node (one-shard) fleet's serving state machine — the one the
+# live coordinator runs: admission queue and fleet budget, classified
+# retries, circuit breaker, signed-bundle reloads — on the virtual
+# timeline. The soak itself exits nonzero on any
 # robustness violation (untyped per-request error, missing result,
 # escaped panic, missing decision record), and both the verbose report
 # — every count, timestamp, and per-request line — and the decision log
@@ -180,14 +181,14 @@ cmp "$tmpdir/soak-j1.txt" "$tmpdir/soak-j4.txt"
 cmp "$tmpdir/soak-j1.jsonl" "$tmpdir/soak-j4.jsonl"
 
 # Fleet soak gate: 100000 seeded requests sharded across 4 simulated
-# device workers under scripted shard kills, rejoins, and burst
-# overloads on the virtual timeline. The soak exits nonzero on any
-# fleet robustness violation (a request silently dropped by shard
-# death, a lost request without ErrShardLost, a shed without a typed
-# overload error, a missing or dropped decision record, an
-# inconsistent per-epoch breaker log) — and both the report and the
-# per-request decision log must be byte-identical across worker
-# counts.
+# device workers under scripted burst overloads, replayed on the
+# virtual timeline through the serving state machine the live
+# coordinator runs. The soak exits nonzero on any fleet robustness
+# violation (a request without a final result, a shed without a typed
+# overload error, an untyped failure, a missing or dropped decision
+# record, an inconsistent per-shard breaker log) — and both the report
+# and the per-request decision log must be byte-identical across
+# worker counts.
 echo "== fleet soak gate (100000 requests, 4 shards, -jobs 1 vs -jobs 4)"
 go run ./cmd/lmi-serve -soak -shards 4 -seed 1 -requests 100000 -jobs 1 \
     -decision-log "$tmpdir/fleet-j1.jsonl" > "$tmpdir/fleet-j1.txt"
