@@ -354,10 +354,13 @@ type StackBuffer struct {
 	Extent uint8
 }
 
-// Validate checks the program: every instruction well-formed, every branch
-// target in range, every named register inside the per-lane register
-// file (RegFileWidth).
+// Validate checks the program: a register count that is not negative,
+// every instruction well-formed, every branch target in range, every
+// named register inside the per-lane register file (RegFileWidth).
 func (p *Program) Validate() error {
+	if p.NumRegs < 0 {
+		return fmt.Errorf("isa: %s: negative register count %d", p.Name, p.NumRegs)
+	}
 	nregs := p.RegFileWidth()
 	for i := range p.Instrs {
 		in := &p.Instrs[i]

@@ -352,7 +352,7 @@ func TestProgramValidateAndDisassemble(t *testing.T) {
 // must lie inside the per-lane register file of max(NumRegs, 8)
 // registers that both simulators allocate; a program that understates
 // NumRegs is rejected rather than letting a lane reach its neighbour's
-// registers.
+// registers, and a negative NumRegs is rejected outright.
 func TestProgramValidateRegisters(t *testing.T) {
 	exit := Instr{Op: EXIT, Pred: PT, Src: [3]Reg{RZ, RZ, RZ}}
 	cases := []struct {
@@ -370,6 +370,8 @@ func TestProgramValidateRegisters(t *testing.T) {
 		{"past minimum file", 0, Instr{Op: IADD, Dst: 8, Src: [3]Reg{0, 1, RZ}, Pred: PT}, false},
 		{"understated store data", 3, Instr{Op: STG, Dst: RZ, Src: [3]Reg{1, 9, RZ}, Aux: 2, Pred: PT}, false},
 		{"SETP dst names a predicate", 0, Instr{Op: SETP, Dst: 6, Src: [3]Reg{0, RZ, RZ}, HasImm: true, Aux: uint8(CmpLT), Pred: PT}, true},
+		{"negative register count", -1, Instr{Op: MOV, Dst: 5, Src: [3]Reg{RZ, RZ, RZ}, Imm: 7, HasImm: true, Pred: PT}, false},
+		{"negative count naming nothing", -1, Instr{Op: NOP, Dst: RZ, Src: [3]Reg{RZ, RZ, RZ}, Pred: PT}, false},
 	}
 	for _, tc := range cases {
 		p := &Program{Name: tc.name, Instrs: []Instr{tc.in, exit}, NumRegs: tc.numRegs}
