@@ -11,6 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"lmi/internal/compiler"
+	"lmi/internal/isa"
 )
 
 // Deterministic test keys: the signer and an attacker.
@@ -232,6 +235,34 @@ func TestVerifyRejections(t *testing.T) {
 		}, ReasonCertStale},
 		{"certified race extent contradicts re-run", func(t *testing.T, b *Bundle) (*Bundle, ed25519.PublicKey) {
 			b.Entries[0].Race.PairsTested += 3
+			if err := b.Seal(testKey); err != nil {
+				t.Fatal(err)
+			}
+			return b, trusted()
+		}, ReasonCertStale},
+		{"understated register count, rebound and resealed", func(t *testing.T, b *Bundle) (*Bundle, ed25519.PublicKey) {
+			// MOV R5, #7 validates under NumRegs 1 (the register file is
+			// at least 8 wide), lints clean and elides nothing, so the
+			// static passes run on it: none may size its state from
+			// NumRegs. The race certificate still describes the old
+			// code's extent.
+			rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+			e := &b.Entries[0]
+			code, err := EncodeWords(&isa.Program{Instrs: []isa.Instr{
+				{Op: isa.MOV, Dst: 5, Src: rz, Imm: 7, HasImm: true, Pred: isa.PT},
+				{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Code, e.Meta.NumRegs = code, 1
+			e.SourceMap = make([]compiler.SourceLoc, len(code))
+			e.Audit.Elided = 0
+			cd, err := CodeDigest(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Lint.CodeDigest, e.Audit.CodeDigest, e.Race.CodeDigest = cd, cd, cd
 			if err := b.Seal(testKey); err != nil {
 				t.Fatal(err)
 			}

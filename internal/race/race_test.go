@@ -1,6 +1,7 @@
 package race
 
 import (
+	"fmt"
 	"testing"
 
 	"lmi/internal/apps"
@@ -407,5 +408,28 @@ func TestNeverExecutedWrite(t *testing.T) {
 	}}
 	if res := Analyze(p, contract1D(64, 1), nil); res.Clean() {
 		t.Fatal("every thread stores to sh[0], yet the program was proved race-free")
+	}
+}
+
+// TestStateWidthFromInstructions: the analysis sizes its states from
+// the registers the instructions name, not from NumRegs. MOV R5, #7
+// validates under NumRegs 1 (the register file is at least 8 wide) and
+// must analyze clean; under NumRegs -1 Validate rejects the program,
+// and the analysis of it still does not index past a state.
+func TestStateWidthFromInstructions(t *testing.T) {
+	rz := [3]isa.Reg{isa.RZ, isa.RZ, isa.RZ}
+	for _, numRegs := range []int{1, -1} {
+		p := &isa.Program{Name: fmt.Sprintf("mov_r5_regs%d", numRegs), NumRegs: numRegs, Instrs: []isa.Instr{
+			{Op: isa.MOV, Dst: 5, Src: rz, Imm: 7, HasImm: true, Pred: isa.PT},
+			{Op: isa.EXIT, Dst: isa.RZ, Src: rz, Pred: isa.PT},
+		}}
+		if err := p.Validate(); (err == nil) != (numRegs >= 0) {
+			t.Errorf("%s: Validate() = %v", p.Name, err)
+		}
+		res := Analyze(p, contract1D(64, 1), nil)
+		if !res.Converged || !res.Clean() || res.SharedAccesses != 0 || res.Phases != 1 {
+			t.Errorf("%s: converged=%v diags=%v accesses=%d phases=%d, want a clean one-phase result",
+				p.Name, res.Converged, res.Diags, res.SharedAccesses, res.Phases)
+		}
 	}
 }
