@@ -1,7 +1,5 @@
 package isa
 
-import "math/bits"
-
 // Edge is one control-flow edge out of an instruction.
 type Edge struct {
 	// To is the successor's instruction index.
@@ -39,6 +37,7 @@ type CFG struct {
 	succs  [][]Edge
 	preds  [][]int
 	target []bool
+	width  int
 }
 
 // always reports an unconditional (@PT) guard.
@@ -65,6 +64,11 @@ func NewCFG(p *Program) *CFG {
 	indeg := make([]int, n)
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
+		for _, r := range [...]Reg{in.Dst, in.Src[0], in.Src[1], in.Src[2]} {
+			if r != RZ && int(r) >= g.width {
+				g.width = int(r) + 1
+			}
+		}
 		start := len(edges)
 		switch in.Op {
 		case BRA:
@@ -114,6 +118,14 @@ func (g *CFG) Succs(pc int) []Edge { return g.succs[pc] }
 // order (a predicated BRA whose target is its own fall-through appears
 // twice). The slice is shared; callers must not modify it.
 func (g *CFG) Preds(pc int) []int { return g.preds[pc] }
+
+// RegWidth is the register width of an analysis state over the
+// program: one past the highest register any instruction names in Dst
+// or Src, RZ excluded. It comes from the instructions rather than from
+// NumRegs, so no state can be indexed past its end, even for a program
+// that was never validated. RZ has no slot; the passes answer reads of
+// it before indexing.
+func (g *CFG) RegWidth() int { return g.width }
 
 // InDegree returns the number of edges into pc, counting the implicit
 // entry edge into instruction 0.
@@ -200,44 +212,6 @@ func (g *CFG) walk(pc int, seen []bool, phase bool) {
 			stack = append(stack, e.To)
 		}
 	}
-}
-
-// Worklist is the pending set of a forward fixpoint over instruction
-// indices. Pop always returns the lowest pending index, so a pass
-// sweeps the program in order and revisits a loop head only after the
-// code above it has settled.
-type Worklist struct {
-	bits []uint64
-	low  int // no pending index lies in a word below low
-}
-
-// NewWorklist returns an empty worklist over indices [0, n).
-func NewWorklist(n int) *Worklist {
-	return &Worklist{bits: make([]uint64, (n+63)/64)}
-}
-
-// Push marks pc pending.
-func (w *Worklist) Push(pc int) {
-	w.bits[pc>>6] |= 1 << uint(pc&63)
-	if pc>>6 < w.low {
-		w.low = pc >> 6
-	}
-}
-
-// Remove unmarks pc.
-func (w *Worklist) Remove(pc int) { w.bits[pc>>6] &^= 1 << uint(pc&63) }
-
-// Pop removes and returns the lowest pending index; ok is false when
-// nothing is pending.
-func (w *Worklist) Pop() (pc int, ok bool) {
-	for ; w.low < len(w.bits); w.low++ {
-		if b := w.bits[w.low]; b != 0 {
-			i := bits.TrailingZeros64(b)
-			w.bits[w.low] = b &^ (1 << uint(i))
-			return w.low<<6 | i, true
-		}
-	}
-	return 0, false
 }
 
 // Rewrite builds a new instruction stream from instrs: emit appends to

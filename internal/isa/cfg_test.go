@@ -72,16 +72,17 @@ func TestCFGSuccessorRules(t *testing.T) {
 }
 
 func TestWorklistPopsLowestFirst(t *testing.T) {
-	w := NewWorklist(200)
+	var w worklist
+	w.reset(200)
 	var got []int
 	for _, pc := range []int{150, 3, 70, 3} {
-		w.Push(pc)
+		w.push(pc)
 	}
-	w.Remove(70)
-	for pc, ok := w.Pop(); ok; pc, ok = w.Pop() {
+	w.remove(70)
+	for pc, ok := w.pop(); ok; pc, ok = w.pop() {
 		got = append(got, pc)
 		if pc == 150 {
-			w.Push(64) // a push below the last pop is still served next
+			w.push(64) // a push below the last pop is still served next
 		}
 	}
 	if want := []int{3, 150, 64}; !reflect.DeepEqual(got, want) {
