@@ -1,9 +1,11 @@
 package peval_test
 
 import (
+	"errors"
 	"testing"
 
 	"lmi/internal/bounds"
+	"lmi/internal/ir"
 	"lmi/internal/isa"
 	"lmi/internal/peval"
 	"lmi/internal/workloads"
@@ -165,6 +167,47 @@ func TestPartialContracts(t *testing.T) {
 				t.Fatalf("%s: count fold fired without a pinned count", s.Name)
 			}
 		}
+	}
+}
+
+// TestSpecializeConcreteOOB: an access the general contract leaves
+// unknown but the concrete contract proves out of bounds fails
+// specialization with a positioned *bounds.OOBError. The kernel stores
+// at byte 4*(n-1) of a 256-byte stack buffer: in bounds for small n,
+// past the end for every launch at n = 100.
+func TestSpecializeConcreteOOB(t *testing.T) {
+	b := ir.NewBuilder("spec_oob_kernel")
+	b.Param(ir.PtrGlobal)
+	b.Param(ir.PtrGlobal)
+	n := b.Param(ir.I32)
+	buf := b.Alloca(256)
+	b.Store(b.GEP(buf, b.Sub(n, b.ConstI(ir.I32, 1)), 4, 0), b.ConstI(ir.I32, 1), 0)
+	f := b.MustFinish()
+
+	general := bounds.Contract{
+		CountParam: 2, CountMin: 1, CountMax: 1024,
+		PtrBytesPerCount: 4,
+		BlockDimX:        64, GridDimX: 1,
+	}
+	concrete := general
+	concrete.CountMin, concrete.CountMax = 100, 100
+	res, err := bounds.Analyze(f, general)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, u, o := res.Counts(); p != 0 || u != 1 || o != 0 {
+		t.Fatalf("general contract: proven=%d unknown=%d oob=%d, want the store unknown", p, u, o)
+	}
+	_, err = peval.Specialize(f, general, concrete, peval.Options{})
+	if err == nil {
+		t.Fatal("a store proven out of bounds under the concrete contract specialized without error")
+	}
+	var oe *bounds.OOBError
+	if !errors.As(err, &oe) {
+		t.Fatalf("error is %T (%v), want a *bounds.OOBError in the chain", err, err)
+	}
+	if oe.Func != f.Name || !oe.Access.Store {
+		t.Errorf("diagnostic misplaced: func %q, %+v", oe.Func, oe.Access)
 	}
 }
 
