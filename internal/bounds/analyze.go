@@ -24,30 +24,24 @@ func constNum(c int64) numv { return numv{iv: single(c), sym: symConst(c)} }
 
 func (v numv) equal(o numv) bool { return v.iv == o.iv && v.sym.equal(o.sym) }
 
-// ptrv marks a value as a pointer into a known allocation site at a
-// tracked byte offset.
-type ptrv struct {
-	site int
-	off  numv
-}
-
-// aval is one abstract value: either a tracked pointer (ptr != nil) or a
-// number. An untracked pointer is simply the numeric top.
+// aval is one abstract value: either a tracked pointer (ptr set) into
+// allocation site site at byte offset num, or the number num. An
+// untracked pointer is simply the numeric top. A value is a plain value,
+// so copying a state copies it; every read of num as a number first
+// checks ptr.
 type aval struct {
-	num numv
-	ptr *ptrv
+	num  numv
+	site int32
+	ptr  bool
 }
 
 func topVal() aval { return aval{num: topNum()} }
 
+// ptrVal is a pointer into site at byte offset off.
+func ptrVal(site int, off numv) aval { return aval{num: off, site: int32(site), ptr: true} }
+
 func (a aval) equal(b aval) bool {
-	if (a.ptr == nil) != (b.ptr == nil) {
-		return false
-	}
-	if a.ptr != nil {
-		return a.ptr.site == b.ptr.site && a.ptr.off.equal(b.ptr.off)
-	}
-	return a.num.equal(b.num)
+	return a.ptr == b.ptr && (!a.ptr || a.site == b.site) && a.num.equal(b.num)
 }
 
 // siteKind classifies an allocation site.
@@ -97,6 +91,13 @@ type analysis struct {
 	entry   [][]aval
 	visited []bool
 	joins   []int
+
+	// cur and then are the scratch states a block walk runs in: cur from
+	// the block's entry state, then the copy a conditional branch refines
+	// for its taken edge. cmps and edges are the walk's reused scratch.
+	cur, then []aval
+	cmps      map[ir.Value]cmpFact
+	edges     [2]edge
 }
 
 // Analyze runs the value-range analysis on a verified kernel under the
@@ -116,6 +117,9 @@ func Analyze(f *ir.Func, c Contract) (*Result, error) {
 		entry:   make([][]aval, n),
 		visited: make([]bool, n),
 		joins:   make([]int, n),
+		cur:     make([]aval, f.NumValues()),
+		then:    make([]aval, f.NumValues()),
+		cmps:    map[ir.Value]cmpFact{},
 	}
 
 	// Fixpoint over the CFG.
@@ -134,8 +138,8 @@ func Analyze(f *ir.Func, c Contract) (*Result, error) {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
-		st := cloneState(an.entry[b])
-		for _, e := range an.runBlock(f.Blocks[b], st, nil) {
+		copy(an.cur, an.entry[b])
+		for _, e := range an.runBlock(f.Blocks[b], an.cur, nil) {
 			if an.mergeInto(b, e.to, e.st) && !inWork[e.to] {
 				work = append(work, e.to)
 				inWork[e.to] = true
@@ -150,8 +154,8 @@ func Analyze(f *ir.Func, c Contract) (*Result, error) {
 		if !an.visited[blk.ID] {
 			continue // unreachable: no access here ever executes
 		}
-		st := cloneState(an.entry[blk.ID])
-		an.runBlock(blk, st, func(in *ir.Instr, idx int, cur []aval) {
+		copy(an.cur, an.entry[blk.ID])
+		an.runBlock(blk, an.cur, func(in *ir.Instr, idx int, cur []aval) {
 			av := an.classify(in, cur)
 			if av == nil {
 				return
@@ -180,51 +184,37 @@ func (an *analysis) topState() []aval {
 	return st
 }
 
-func cloneState(st []aval) []aval {
-	out := make([]aval, len(st))
-	for i, v := range st {
-		if v.ptr != nil {
-			p := *v.ptr
-			v.ptr = &p
-		}
-		out[i] = v
-	}
-	return out
-}
-
+// mergeInto joins st into to's entry state in place and reports whether
+// the entry changed.
 func (an *analysis) mergeInto(from, to ir.BlockID, st []aval) bool {
 	if !an.visited[to] {
-		an.entry[to] = cloneState(st)
+		an.entry[to] = append([]aval(nil), st...)
 		an.visited[to] = true
 		return true
-	}
-	old := an.entry[to]
-	joined := make([]aval, len(old))
-	changed := false
-	for i := range old {
-		joined[i] = joinVal(old[i], st[i])
-		if !joined[i].equal(old[i]) {
-			changed = true
-		}
-	}
-	if !changed {
-		return false
 	}
 	// Widening accelerates only loop heads. The builder allocates blocks
 	// in program order, so every cycle closes through a merge from a
 	// higher (or equal) block ID — widening there is enough to terminate,
 	// and forward-edge merges (the branch-refined loop body entry) keep
-	// their precision.
-	if from >= to {
-		an.joins[to]++
-		if an.joins[to] > widenDelay {
-			for i := range joined {
-				joined[i] = widenVal(old[i], joined[i])
-			}
+	// their precision. Widening a value the join left unchanged leaves it
+	// unchanged, so an entry that does not move is written back as is.
+	widen := from >= to && an.joins[to] >= widenDelay
+	entry := an.entry[to]
+	changed := false
+	for i, old := range entry {
+		j := joinVal(old, st[i])
+		if !j.equal(old) {
+			changed = true
 		}
+		if widen {
+			j = widenVal(old, j)
+		}
+		entry[i] = j
 	}
-	an.entry[to] = joined
-	return true
+	if changed && from >= to {
+		an.joins[to]++
+	}
+	return changed
 }
 
 func joinNum(a, b numv) numv {
@@ -232,29 +222,23 @@ func joinNum(a, b numv) numv {
 }
 
 func joinVal(a, b aval) aval {
-	if a.ptr != nil && b.ptr != nil && a.ptr.site == b.ptr.site {
-		return aval{ptr: &ptrv{site: a.ptr.site, off: joinNum(a.ptr.off, b.ptr.off)}}
+	if a.ptr && b.ptr && a.site == b.site {
+		return aval{num: joinNum(a.num, b.num), site: a.site, ptr: true}
 	}
-	if a.ptr != nil || b.ptr != nil {
+	if a.ptr || b.ptr {
 		return topVal() // pointer merged with non-pointer or another site
 	}
 	return aval{num: joinNum(a.num, b.num)}
 }
 
+// widenVal widens joined against old when both are numbers, or pointers
+// into the same site; otherwise joined stands.
 func widenVal(old, joined aval) aval {
-	if joined.ptr != nil {
-		if old.ptr != nil && old.ptr.site == joined.ptr.site {
-			return aval{ptr: &ptrv{
-				site: joined.ptr.site,
-				off:  widenNum(old.ptr.off, joined.ptr.off),
-			}}
-		}
+	if old.ptr != joined.ptr || (joined.ptr && old.site != joined.site) {
 		return joined
 	}
-	if old.ptr != nil {
-		return joined
-	}
-	return aval{num: widenNum(old.num, joined.num)}
+	joined.num = widenNum(old.num, joined.num)
+	return joined
 }
 
 // widenNum widens moving interval bounds to infinity and keeps a
@@ -272,7 +256,7 @@ func widenNum(old, joined numv) numv {
 // symOrConst returns the best symbolic upper bound derivable for a
 // value: its tracked affine bound, or its constant interval ceiling.
 func symOrConst(v aval) SymUB {
-	if v.ptr != nil {
+	if v.ptr {
 		return SymUB{}
 	}
 	if v.num.sym.valid() {
@@ -285,7 +269,7 @@ func symOrConst(v aval) SymUB {
 }
 
 func constOf(v aval) (int64, bool) {
-	if v.ptr == nil && v.num.iv.IsConst() {
+	if !v.ptr && v.num.iv.IsConst() {
 		return v.num.iv.Lo, true
 	}
 	return 0, false
@@ -296,7 +280,8 @@ func constOf(v aval) (int64, bool) {
 // non-nil it is invoked at each memory access with the state in force
 // just before the access.
 func (an *analysis) runBlock(blk *ir.Block, st []aval, collect func(*ir.Instr, int, []aval)) []edge {
-	cmps := map[ir.Value]cmpFact{}
+	cmps := an.cmps
+	clear(cmps)
 	kill := func(v ir.Value) {
 		delete(cmps, v)
 		for b, c := range cmps {
@@ -309,15 +294,19 @@ func (an *analysis) runBlock(blk *ir.Block, st []aval, collect func(*ir.Instr, i
 		in := &blk.Instrs[idx]
 		switch in.Op {
 		case ir.OpBr:
-			return []edge{{to: in.Target, st: st}}
+			an.edges[0] = edge{to: in.Target, st: st}
+			return an.edges[:1]
 		case ir.OpCondBr:
-			thenSt := cloneState(st)
+			thenSt := an.then
+			copy(thenSt, st)
 			elseSt := st
 			if c, ok := cmps[in.Args[0]]; ok {
 				an.refine(thenSt, c, true)
 				an.refine(elseSt, c, false)
 			}
-			return []edge{{to: in.Then, st: thenSt}, {to: in.Else, st: elseSt}}
+			an.edges[0] = edge{to: in.Then, st: thenSt}
+			an.edges[1] = edge{to: in.Else, st: elseSt}
+			return an.edges[:]
 		case ir.OpRet:
 			return nil
 		}
@@ -341,13 +330,12 @@ func (an *analysis) runBlock(blk *ir.Block, st []aval, collect func(*ir.Instr, i
 			// unknown, the free could target any heap site, so every
 			// heap-site fact dies.
 			freed := st[in.Args[0]]
-			for v := range st {
-				p := st[v].ptr
-				if p == nil {
+			for v, p := range st {
+				if !p.ptr {
 					continue
 				}
-				if freed.ptr != nil {
-					if p.site != freed.ptr.site {
+				if freed.ptr {
+					if p.site != freed.site {
 						continue
 					}
 				} else if an.sites[p.site].kind != siteHeap {
@@ -401,15 +389,15 @@ func (an *analysis) eval(in *ir.Instr, st []aval, at accessKey) aval {
 	case ir.OpGEP:
 		return an.gepVal(in, st)
 	case ir.OpAlloca:
-		return aval{ptr: &ptrv{site: an.siteFor(at, siteAlloca, int64(in.Size)), off: constNum(0)}}
+		return ptrVal(an.siteFor(at, siteAlloca, int64(in.Size)), constNum(0))
 	case ir.OpShared:
-		return aval{ptr: &ptrv{site: an.siteFor(at, siteShared, int64(in.Size)), off: constNum(0)}}
+		return ptrVal(an.siteFor(at, siteShared, int64(in.Size)), constNum(0))
 	case ir.OpMalloc:
 		sz := int64(-1)
 		if c, ok := constOf(st[in.Args[0]]); ok && c >= 0 {
 			sz = c
 		}
-		return aval{ptr: &ptrv{site: an.siteFor(at, siteHeap, sz), off: constNum(0)}}
+		return ptrVal(an.siteFor(at, siteHeap, sz), constNum(0))
 	default:
 		return an.typedTop(t)
 	}
@@ -427,7 +415,7 @@ func (an *analysis) typedTop(t ir.Type) aval {
 // register file sign-extends), otherwise it may have wrapped and all
 // derived facts are dropped.
 func (an *analysis) clampTo(v aval, t ir.Type) aval {
-	if v.ptr != nil || t.Kind != ir.KindI32 {
+	if v.ptr || t.Kind != ir.KindI32 {
 		return v
 	}
 	if cl := v.num.iv.clampI32(); cl != v.num.iv {
@@ -439,8 +427,7 @@ func (an *analysis) clampTo(v aval, t ir.Type) aval {
 func (an *analysis) paramVal(index int, t ir.Type) aval {
 	if t.IsPtr() {
 		if an.c.CountParam >= 0 && an.c.PtrBytesPerCount > 0 {
-			id := an.siteForParam(index)
-			return aval{ptr: &ptrv{site: id, off: constNum(0)}}
+			return ptrVal(an.siteForParam(index), constNum(0))
 		}
 		return topVal()
 	}
@@ -538,14 +525,16 @@ func addNum(a, b numv) numv {
 }
 
 func addVals(a, b aval) aval {
-	if a.ptr != nil && b.ptr != nil {
+	if a.ptr && b.ptr {
 		return topVal()
 	}
-	if a.ptr != nil {
-		return aval{ptr: &ptrv{site: a.ptr.site, off: addNum2(a.ptr.off, b)}}
+	if a.ptr {
+		a.num = addNum2(a.num, b)
+		return a
 	}
-	if b.ptr != nil {
-		return aval{ptr: &ptrv{site: b.ptr.site, off: addNum2(b.ptr.off, a)}}
+	if b.ptr {
+		b.num = addNum2(b.num, a)
+		return b
 	}
 	return aval{num: numv{
 		iv:  a.num.iv.Add(b.num.iv),
@@ -572,11 +561,12 @@ func numSym(v numv) SymUB {
 }
 
 func subVals(a, b aval) aval {
-	if b.ptr != nil {
+	if b.ptr {
 		return topVal()
 	}
-	if a.ptr != nil {
-		return aval{ptr: &ptrv{site: a.ptr.site, off: subNum(a.ptr.off, b.num)}}
+	if a.ptr {
+		a.num = subNum(a.num, b.num)
+		return a
 	}
 	return aval{num: subNum2(a, b)}
 }
@@ -599,7 +589,7 @@ func subNum2(a, b aval) numv {
 }
 
 func mulNum(a, b aval) numv {
-	if a.ptr != nil || b.ptr != nil {
+	if a.ptr || b.ptr {
 		return topNum()
 	}
 	r := numv{iv: a.num.iv.Mul(b.num.iv)}
@@ -612,7 +602,7 @@ func mulNum(a, b aval) numv {
 }
 
 func minNum(a, b aval) numv {
-	if a.ptr != nil || b.ptr != nil {
+	if a.ptr || b.ptr {
 		return topNum()
 	}
 	r := numv{iv: a.num.iv.Min(b.num.iv)}
@@ -629,7 +619,7 @@ func minNum(a, b aval) numv {
 }
 
 func maxNum(a, b aval) numv {
-	if a.ptr != nil || b.ptr != nil {
+	if a.ptr || b.ptr {
 		return topNum()
 	}
 	return numv{
@@ -640,7 +630,7 @@ func maxNum(a, b aval) numv {
 
 func shrNum(a, b aval) numv {
 	k, ok := constOf(b)
-	if !ok || k < 0 || k > 63 || a.ptr != nil || a.num.iv.Lo < 0 {
+	if !ok || k < 0 || k > 63 || a.ptr || a.num.iv.Lo < 0 {
 		return topNum() // arithmetic shift of a possibly-negative value
 	}
 	hi := a.num.iv.Hi
@@ -654,7 +644,7 @@ func shrNum(a, b aval) numv {
 }
 
 func andNum(a, b aval) numv {
-	if a.ptr != nil || b.ptr != nil {
+	if a.ptr || b.ptr {
 		return topNum()
 	}
 	aNN := a.num.iv.Lo >= 0
@@ -673,7 +663,7 @@ func andNum(a, b aval) numv {
 		sa = symOrConst(a)
 	}
 	if bNN {
-		r.iv.Hi = min64(r.iv.Hi, b.num.iv.Hi)
+		r.iv.Hi = min(r.iv.Hi, b.num.iv.Hi)
 		sb = symOrConst(b)
 	}
 	switch {
@@ -686,7 +676,7 @@ func andNum(a, b aval) numv {
 }
 
 func orNum(a, b aval) numv {
-	if a.ptr != nil || b.ptr != nil || a.num.iv.Lo < 0 || b.num.iv.Lo < 0 {
+	if a.ptr || b.ptr || a.num.iv.Lo < 0 || b.num.iv.Lo < 0 {
 		return topNum()
 	}
 	// For non-negative x, y: x|y <= x+y and x^y <= x+y.
@@ -698,13 +688,13 @@ func orNum(a, b aval) numv {
 
 func (an *analysis) gepVal(in *ir.Instr, st []aval) aval {
 	base := st[in.Args[0]]
-	if base.ptr == nil {
+	if !base.ptr {
 		return topVal()
 	}
-	off := base.ptr.off
+	off := base.num
 	if in.Args[1] != ir.NoValue {
 		idx := st[in.Args[1]]
-		if idx.ptr != nil {
+		if idx.ptr {
 			return topVal()
 		}
 		scale := int64(in.Scale)
@@ -714,8 +704,8 @@ func (an *analysis) gepVal(in *ir.Instr, st []aval) aval {
 		prod := mulNum(idx, aval{num: constNum(scale)})
 		off = addNum(numv{iv: off.iv, sym: numSym(off)}, numv{iv: prod.iv, sym: numSym(prod)})
 	}
-	off = numv{iv: off.iv.AddConst(in.Off), sym: numSym(off).AddConst(in.Off)}
-	return aval{ptr: &ptrv{site: base.ptr.site, off: off}}
+	base.num = numv{iv: off.iv.AddConst(in.Off), sym: numSym(off).AddConst(in.Off)}
+	return base
 }
 
 // ---- branch refinement ---------------------------------------------------
@@ -734,7 +724,7 @@ func (an *analysis) refine(st []aval, c cmpFact, taken bool) {
 		op, x, y = isa.CmpLE, y, x
 	}
 	vx, vy := st[x], st[y]
-	if vx.ptr != nil || vy.ptr != nil {
+	if vx.ptr || vy.ptr {
 		return
 	}
 	switch op {
@@ -757,8 +747,8 @@ func (an *analysis) refine(st []aval, c cmpFact, taken bool) {
 			vy.num.iv.Lo = lo
 		}
 	case isa.CmpEQ:
-		lo := max64(vx.num.iv.Lo, vy.num.iv.Lo)
-		hi := min64(vx.num.iv.Hi, vy.num.iv.Hi)
+		lo := max(vx.num.iv.Lo, vy.num.iv.Lo)
+		hi := min(vx.num.iv.Hi, vy.num.iv.Hi)
 		if lo <= hi {
 			vx.num.iv, vy.num.iv = Interval{lo, hi}, Interval{lo, hi}
 		}
@@ -815,14 +805,14 @@ func (an *analysis) classify(in *ir.Instr, st []aval) *AccessVerdict {
 	}
 	av := &AccessVerdict{Space: space, Size: size, Store: store}
 	base := st[in.Args[0]]
-	if base.ptr == nil {
+	if !base.ptr {
 		av.Verdict, av.Detail = VerdictUnknown, "pointer provenance unknown"
 		return av
 	}
-	s := an.sites[base.ptr.site]
+	s := an.sites[base.site]
 	off := numv{
-		iv:  base.ptr.off.iv.AddConst(in.Off),
-		sym: numSym(base.ptr.off).AddConst(in.Off),
+		iv:  base.num.iv.AddConst(in.Off),
+		sym: numSym(base.num).AddConst(in.Off),
 	}
 	av.Verdict, av.Detail = an.judge(s, off, int64(size))
 	return av

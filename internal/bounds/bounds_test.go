@@ -3,6 +3,7 @@ package bounds
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lmi/internal/ir"
 	"lmi/internal/isa"
@@ -34,6 +35,15 @@ func wantVerdicts(t *testing.T, res *Result, want ...Verdict) {
 		if a.Verdict != want[i] {
 			t.Errorf("%s: access %d = %s, want %s (%s)", res.Func, i, a.Verdict, want[i], a.Detail)
 		}
+	}
+}
+
+// TestAvalSize pins the abstract value's footprint: every block walk and
+// join copies states of these by value, so a wider value costs every
+// analysis in bytes moved.
+func TestAvalSize(t *testing.T) {
+	if sz := unsafe.Sizeof(aval{}); sz > 56 {
+		t.Fatalf("unsafe.Sizeof(aval{}) = %d, want at most 56", sz)
 	}
 }
 

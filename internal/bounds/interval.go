@@ -119,17 +119,17 @@ func (iv Interval) Mul(o Interval) Interval {
 // Min returns the pointwise minimum: min(x, y) is at most the smaller of
 // the two upper bounds and at least the smaller of the two lower bounds.
 func (iv Interval) Min(o Interval) Interval {
-	return Interval{min64(iv.Lo, o.Lo), min64(iv.Hi, o.Hi)}
+	return Interval{min(iv.Lo, o.Lo), min(iv.Hi, o.Hi)}
 }
 
 // Max returns the pointwise maximum.
 func (iv Interval) Max(o Interval) Interval {
-	return Interval{max64(iv.Lo, o.Lo), max64(iv.Hi, o.Hi)}
+	return Interval{max(iv.Lo, o.Lo), max(iv.Hi, o.Hi)}
 }
 
 // Join returns the convex hull.
 func (iv Interval) Join(o Interval) Interval {
-	return Interval{min64(iv.Lo, o.Lo), max64(iv.Hi, o.Hi)}
+	return Interval{min(iv.Lo, o.Lo), max(iv.Hi, o.Hi)}
 }
 
 // widenFrom widens iv against the previous bound old: any side that moved
@@ -156,20 +156,6 @@ func (iv Interval) clampI32() Interval {
 		return topI32()
 	}
 	return iv
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SymUB is a symbolic upper bound on an integer value in terms of the
@@ -236,7 +222,7 @@ func (s SymUB) Add(o SymUB) SymUB {
 	if !s.valid() || !o.valid() {
 		return SymUB{}
 	}
-	d := max64(s.D, o.D)
+	d := max(s.D, o.D)
 	ss, ok1 := s.rescale(d)
 	oo, ok2 := o.rescale(d)
 	if !ok1 || !ok2 {
@@ -304,7 +290,7 @@ func (s SymUB) join(o SymUB) SymUB {
 		return SymUB{}
 	}
 	if s.A == o.A && s.D == o.D {
-		return SymUB{OK: true, A: s.A, C: max64(s.C, o.C), D: s.D}
+		return SymUB{OK: true, A: s.A, C: max(s.C, o.C), D: s.D}
 	}
 	return SymUB{}
 }
