@@ -21,7 +21,7 @@ func elideContract() bounds.Contract {
 // TestCompileElidedRejectsProvenOOB is the compile-time-diagnostic
 // regression test: a kernel whose store provably lands outside its
 // stack allocation for every contract-conforming launch must fail
-// CompileElided with a positioned *bounds.OOBError — before any
+// CompileElidedWithSourceMap with a positioned *bounds.OOBError — before any
 // simulation.
 func TestCompileElidedRejectsProvenOOB(t *testing.T) {
 	b := ir.NewBuilder("oob_stack_kernel")
@@ -32,7 +32,7 @@ func TestCompileElidedRejectsProvenOOB(t *testing.T) {
 	b.Store(b.GEP(out, b.ConstI(ir.I32, 0), 4, 0), b.ConstI(ir.I32, 0), 0)
 	f := b.MustFinish()
 
-	_, _, err := CompileElided(f, elideContract())
+	_, _, _, err := CompileElidedWithSourceMap(f, elideContract())
 	if err == nil {
 		t.Fatal("proven-out-of-bounds store compiled without error")
 	}
@@ -68,7 +68,7 @@ func TestCompileElidedByteIdentical(t *testing.T) {
 	c := bounds.Contract{CountParam: 2, CountMin: 1, CountMax: 1 << 20,
 		PtrBytesPerCount: 4, BlockDimX: 128, GridDimX: 16}
 	encode := func(f *ir.Func) ([]byte, error) {
-		p, _, err := CompileElided(f, c)
+		p, _, _, err := CompileElidedWithSourceMap(f, c)
 		if err != nil {
 			return nil, err
 		}

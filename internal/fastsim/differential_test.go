@@ -209,7 +209,7 @@ func corpusPrograms(t *testing.T, s *workloads.Spec) map[string]struct {
 			v    workloads.Variant
 		}{compiler.Optimize(p), m.v}
 	}
-	pe, _, err := compiler.CompileElided(f, s.Contract())
+	pe, _, _, err := compiler.CompileElidedWithSourceMap(f, s.Contract())
 	if err != nil {
 		t.Fatalf("%s/elide: compile: %v", s.Name, err)
 	}

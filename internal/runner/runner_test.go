@@ -257,7 +257,7 @@ func TestMaxCyclesJob(t *testing.T) {
 func TestWorkerPanicRecovered(t *testing.T) {
 	jobs := []Job{
 		{Spec: workloads.ByName("nn"), Variant: workloads.VariantBase, Config: testConfig()},
-		{Spec: nil, Variant: workloads.VariantBase, Config: testConfig()}, // nil spec -> nil deref in RunAt
+		{Spec: nil, Variant: workloads.VariantBase, Config: testConfig()}, // nil spec -> nil deref in RunTierAtCtx
 	}
 	rep := Run(jobs, 2)
 	if rep.Results[0].Err != nil {
