@@ -67,21 +67,32 @@ func buildEntry(bs BuildSpec) (*Entry, error) {
 		return nil, err
 	}
 	contract := s.Contract()
-	var prog *compilerProgram
-	if bs.Elide {
-		p, srcMap, _, err := compiler.CompileElidedWithSourceMap(f, contract)
-		if err != nil {
-			return nil, fmt.Errorf("bundle: %s: %w", bs.Workload, err)
+	// A :spec entry ships the specializer's general program: that is
+	// the elided compile, and the certificate's starting point.
+	var (
+		p       *isa.Program
+		srcMap  []compiler.SourceLoc
+		specRes *peval.Result
+	)
+	switch {
+	case bs.Specialize:
+		if !bs.Elide {
+			return nil, fmt.Errorf("bundle: %s: Specialize requires Elide (the specializer's general program is the elided compile)", bs.Workload)
 		}
-		prog = &compilerProgram{p: p, srcMap: srcMap}
-	} else {
-		p, srcMap, err := compiler.CompileWithSourceMap(f, compiler.ModeLMI)
+		specRes, err = peval.Specialize(f, contract, s.ConcreteContract(), peval.Options{})
 		if err != nil {
-			return nil, fmt.Errorf("bundle: %s: %w", bs.Workload, err)
+			return nil, fmt.Errorf("bundle: %s: specialize: %w", bs.Workload, err)
 		}
-		prog = &compilerProgram{p: p, srcMap: srcMap}
+		p, srcMap = specRes.Original, specRes.SourceMap
+	case bs.Elide:
+		p, srcMap, _, err = compiler.CompileElidedWithSourceMap(f, contract)
+	default:
+		p, srcMap, err = compiler.CompileWithSourceMap(f, compiler.ModeLMI)
 	}
-	code, err := EncodeWords(prog.p)
+	if err != nil {
+		return nil, fmt.Errorf("bundle: %s: %w", bs.Workload, err)
+	}
+	code, err := EncodeWords(p)
 	if err != nil {
 		return nil, fmt.Errorf("bundle: %s: %w", bs.Workload, err)
 	}
@@ -92,52 +103,31 @@ func buildEntry(bs BuildSpec) (*Entry, error) {
 		Elided:    bs.Elide,
 		Code:      code,
 		Meta: ProgramMeta{
-			FrameSize:     prog.p.FrameSize,
-			SharedSize:    prog.p.SharedSize,
-			NumRegs:       prog.p.NumRegs,
-			NumParams:     prog.p.NumParams,
-			ParamPtrs:     prog.p.ParamPtrs,
-			StackPtrConst: prog.p.StackPtrConst,
-			ParamBase:     prog.p.ParamBase,
-			StackBuffers:  prog.p.StackBuffers,
+			FrameSize:     p.FrameSize,
+			SharedSize:    p.SharedSize,
+			NumRegs:       p.NumRegs,
+			NumParams:     p.NumParams,
+			ParamPtrs:     p.ParamPtrs,
+			StackPtrConst: p.StackPtrConst,
+			ParamBase:     p.ParamBase,
+			StackBuffers:  p.StackBuffers,
 		},
-		SourceMap: prog.srcMap,
+		SourceMap: srcMap,
 		Contract:  contract,
 	}
 
 	// The specialization payload goes in before the code digest is
 	// taken: the residual and its certificate are part of what every
 	// certificate binds to.
-	var specRes *peval.Result
-	if bs.Specialize {
-		if !bs.Elide {
-			return nil, fmt.Errorf("bundle: %s: Specialize requires Elide (the specializer's general program is the elided compile)", bs.Workload)
-		}
-		concrete := s.ConcreteContract()
-		res, err := peval.Specialize(f, contract, concrete, peval.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("bundle: %s: specialize: %w", bs.Workload, err)
-		}
-		// The specializer recompiles internally; its general program
-		// must be the very program this entry ships, or the certificate
-		// would certify a different starting point.
-		if len(res.Original.Instrs) != len(prog.p.Instrs) {
-			return nil, fmt.Errorf("bundle: %s: specializer general program diverged from entry program", bs.Workload)
-		}
-		for i := range res.Original.Instrs {
-			if res.Original.Instrs[i] != prog.p.Instrs[i] {
-				return nil, fmt.Errorf("bundle: %s: specializer general program diverged from entry program at %d", bs.Workload, i)
-			}
-		}
-		specCode, err := EncodeWords(res.Residual)
+	if specRes != nil {
+		specCode, err := EncodeWords(specRes.Residual)
 		if err != nil {
 			return nil, fmt.Errorf("bundle: %s: encode residual: %w", bs.Workload, err)
 		}
-		sc := concrete
+		sc := specRes.Cert.Contract
 		e.SpecCode = specCode
 		e.SpecContract = &sc
-		e.SpecCertificate = res.Cert
-		specRes = res
+		e.SpecCertificate = specRes.Cert
 	}
 
 	cd, err := CodeDigest(e)
@@ -147,15 +137,15 @@ func buildEntry(bs BuildSpec) (*Entry, error) {
 
 	// Run the passes the certificates will certify. Build is the honest
 	// signer: a diagnostic here is a build failure, never a certificate.
-	if diags := lint.CheckWithSource(prog.p, compiler.ModeLMI, prog.srcMap); len(diags) > 0 {
+	if diags := lint.CheckWithSource(p, compiler.ModeLMI, srcMap); len(diags) > 0 {
 		return nil, fmt.Errorf("bundle: %s: lint: %d diagnostics: %s", bs.Workload, len(diags), diags[0])
 	}
 	e.Lint = &LintCert{CodeDigest: cd, Diags: 0}
-	if diags := lint.ElideAudit(prog.p, contract); len(diags) > 0 {
+	if diags := lint.ElideAudit(p, contract); len(diags) > 0 {
 		return nil, fmt.Errorf("bundle: %s: elide audit: %d diagnostics: %s", bs.Workload, len(diags), diags[0])
 	}
-	e.Audit = &AuditCert{CodeDigest: cd, Diags: 0, Elided: prog.p.CountElided()}
-	rr := race.Analyze(prog.p, contract, prog.srcMap)
+	e.Audit = &AuditCert{CodeDigest: cd, Diags: 0, Elided: p.CountElided()}
+	rr := race.Analyze(p, contract, srcMap)
 	if !rr.Clean() || !rr.Converged {
 		n := len(rr.Diags)
 		return nil, fmt.Errorf("bundle: %s: race analysis: %d diagnostics (converged=%v)", bs.Workload, n, rr.Converged)
@@ -168,7 +158,7 @@ func buildEntry(bs BuildSpec) (*Entry, error) {
 		Phases:         rr.Phases,
 	}
 	if specRes != nil {
-		if diags := lint.SpecializeAudit(prog.p, specRes.Residual, specRes.Cert, *e.SpecContract); len(diags) > 0 {
+		if diags := lint.SpecializeAudit(p, specRes.Residual, specRes.Cert, *e.SpecContract); len(diags) > 0 {
 			return nil, fmt.Errorf("bundle: %s: specialize audit: %d diagnostics: %s", bs.Workload, len(diags), diags[0])
 		}
 		e.Spec = &SpecCert{
@@ -180,10 +170,4 @@ func buildEntry(bs BuildSpec) (*Entry, error) {
 		}
 	}
 	return e, nil
-}
-
-// compilerProgram pairs a compiled program with its source map.
-type compilerProgram struct {
-	p      *isa.Program
-	srcMap []compiler.SourceLoc
 }
