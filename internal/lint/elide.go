@@ -468,7 +468,7 @@ func refineState(st *eState, f predFact, hold bool) {
 		sety(yv)
 	case isa.CmpEQ:
 		m := eVal{kind: ekNum,
-			iv:  bounds.Interval{Lo: maxI64(xv.iv.Lo, yv.iv.Lo), Hi: minI64(xv.iv.Hi, yv.iv.Hi)},
+			iv:  bounds.Interval{Lo: max(xv.iv.Lo, yv.iv.Lo), Hi: min(xv.iv.Hi, yv.iv.Hi)},
 			sym: xv.sym}
 		if !symValid(m.sym) {
 			m.sym = yv.sym
@@ -512,20 +512,6 @@ func ckMul(a, b int64) (int64, bool) {
 		return 0, false
 	}
 	return p, true
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // transfer applies instruction i's abstract effect to st.
