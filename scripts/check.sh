@@ -259,10 +259,14 @@ fi
 # single-byte tamper inside the specialization record must be the same
 # typed fail-closed rejection as any other bundle corruption — the
 # record rides inside the entry's code digest, so every certificate
-# binding breaks at once.
-echo "== specialized bundle gate (verify, single-byte spec-record tamper rejection)"
-go run ./cmd/lmi-compile -bundle "$tmpdir/bundle-spec.json" -key "$devkey" \
+# binding breaks at once. The bundle builds at -jobs 1 and -jobs 4 and
+# the two artifacts must be byte-identical, as for the trio above.
+echo "== specialized bundle gate (build determinism, verify, single-byte spec-record tamper rejection)"
+go run ./cmd/lmi-compile -bundle "$tmpdir/bundle-spec.json" -key "$devkey" -jobs 1 \
     -bundle-workloads "backprop:elide,needle:spec,nn:elide" > /dev/null
+go run ./cmd/lmi-compile -bundle "$tmpdir/bundle-spec-j4.json" -key "$devkey" -jobs 4 \
+    -bundle-workloads "backprop:elide,needle:spec,nn:elide" > /dev/null
+cmp "$tmpdir/bundle-spec.json" "$tmpdir/bundle-spec-j4.json"
 go run ./cmd/lmi-compile -verify-bundle "$tmpdir/bundle-spec.json" -pub "$devpub" > /dev/null
 # One byte inside the record's key material ("spec_code" ->
 # "spec_c0de") makes the residual payload unreadable; the verifier
